@@ -483,7 +483,7 @@ Tensor tile_col_sum(const Tensor& a) {
             for (std::int64_t j = 0; j < m; ++j) orow[j] += tile[i * m + j];
           }
         },
-        /*grain=*/1);
+        be::detail::grain_for(n * m));
   }
   return make_op(std::move(out), {t, m}, {a}, [a, t, n, m](TensorImpl& o) {
     if (!a.requires_grad()) return;
@@ -1019,7 +1019,7 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           float* ob = op + slice * plane;
           for (std::int64_t i = 0; i < plane; ++i) ob[i] = (xb[i] - mu) * is * g + b;
         },
-        /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)));
+        be::detail::grain_for(plane));
   }
   return make_op(
       std::move(out), x.shape(), {x, gamma, beta},
@@ -1104,7 +1104,7 @@ Tensor batchnorm2d(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                   }
                 }
               },
-              /*grain=*/std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(plane, 1)));
+              be::detail::grain_for(plane));
         }
       });
 }

@@ -795,7 +795,7 @@ void im2col_impl(const T* x, std::int64_t n, std::int64_t c, std::int64_t h,
   // One output row per patch; rows are independent, so parallelize there.
   // Zero whole chunks up front (one large fill beats a per-row fill by ~3x),
   // then gather only the in-image taps.
-  parallel_for(rows, std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(cols, 1)),
+  parallel_for(rows, detail::grain_for(cols),
                [=](std::int64_t r0, std::int64_t r1) {
                  std::fill(out + r0 * cols, out + r1 * cols, T{0});
                  for (std::int64_t row = r0; row < r1; ++row) {

@@ -8,6 +8,7 @@
 // results are bit-exact across thread counts.
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
@@ -214,7 +215,14 @@ double reduce_sum(const float* a, std::size_t n);
 
 namespace detail {
 constexpr std::int64_t kElemGrain = 1 << 14;  // elementwise chunk size
+
+// Grain for a loop whose every index does `work` inner iterations: about
+// 4096 iterations per chunk, so a loop too small to repay a fan-out stays on
+// its caller.
+constexpr std::int64_t grain_for(std::int64_t work) {
+  return std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(work, 1));
 }
+}  // namespace detail
 
 // Fused elementwise kernels. The functor is applied per element; chunks of
 // kElemGrain indices run across threads.

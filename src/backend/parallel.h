@@ -1,4 +1,6 @@
-// Thread-pool-free data parallelism for the dense kernel layer.
+// Data parallelism for the dense kernel layer: one lazily started,
+// process-wide pool of helper threads shared by every caller, under one core
+// budget.
 //
 // All backend kernels partition their iteration space into contiguous chunks
 // whose boundaries depend only on the problem size — never on the thread
@@ -6,11 +8,26 @@
 // makes every kernel bit-exact across thread counts: ADEPT_NUM_THREADS=8 and
 // ADEPT_NUM_THREADS=1 produce identical bits, so tests stay deterministic.
 //
+// Core budget: at most num_threads() threads execute launches at any moment,
+// counting callers and the pool helpers working for them. A launch recruits
+// idle helpers only while that count is below num_threads() and otherwise
+// runs inline on its caller, so N concurrent callers on N cores (server
+// workers, comm ranks) run their kernels inline while a lone caller gets
+// every core — no per-caller configuration. A launch from inside a chunk
+// runs inline. The caller works through chunks itself and waits only for
+// chunks a helper already claimed, so a launch never deadlocks. An
+// exception from any chunk is rethrown to the caller once the claimed
+// chunks have finished.
+//
+// Idle helpers poll for work for a short fixed time after each launch (so a
+// caller's back-to-back launches find them awake), then park. The registry
+// counters backend.pool.launches / .fanned_out / .parks (obs/metrics.h)
+// show how many launches ran inline and how often helpers slept.
+//
 // Thread count resolution order:
-//   1. LocalThreadScope on the calling thread (per-thread cap, see below),
-//   2. set_num_threads(n) with n >= 1 (process-wide runtime override),
-//   3. the ADEPT_NUM_THREADS environment variable (see common/env.h),
-//   4. std::thread::hardware_concurrency().
+//   1. set_num_threads(n) with n >= 1 (process-wide runtime override),
+//   2. the ADEPT_NUM_THREADS environment variable (see common/env.h),
+//   3. std::thread::hardware_concurrency().
 // A value of 1 short-circuits to a plain serial loop on the calling thread.
 #pragma once
 
@@ -19,7 +36,7 @@
 
 namespace adept::backend {
 
-// Effective worker count for the kernel layer (always >= 1).
+// Effective core budget for the kernel layer (always >= 1).
 int num_threads();
 
 // Runtime override; n <= 0 restores the env/hardware default.
@@ -38,29 +55,10 @@ class ThreadScope {
   int prev_;
 };
 
-// RAII scope that caps the thread count for kernels launched from the
-// CURRENT thread only. This is the execution-context seam's budget knob
-// (backend/context.h): a serial context driving kernels on one server worker
-// must not throttle kernels the other workers launch concurrently, which a
-// process-wide ThreadScope would. n <= 0 means "no cap" (inherit the global
-// resolution order). Takes precedence over set_num_threads()/ThreadScope for
-// this thread; worker threads spawned by the kernels themselves only execute
-// chunks handed to them, so the cap never needs to propagate.
-class LocalThreadScope {
- public:
-  explicit LocalThreadScope(int n);
-  ~LocalThreadScope();
-  LocalThreadScope(const LocalThreadScope&) = delete;
-  LocalThreadScope& operator=(const LocalThreadScope&) = delete;
-
- private:
-  int prev_;
-};
-
 namespace detail {
 // Splits [0, n) into chunks of at most `grain` iterations and runs
-// fn(begin, end) over them, distributing chunks across up to num_threads()
-// workers. Chunk boundaries are a pure function of (n, grain).
+// fn(begin, end) over them on the caller plus whatever pool helpers the core
+// budget allows. Chunk boundaries are a pure function of (n, grain).
 void run_chunked(std::int64_t n, std::int64_t grain,
                  const std::function<void(std::int64_t, std::int64_t)>& fn);
 }  // namespace detail

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <thread>
 
-#include "backend/parallel.h"
 #include "common/env.h"
 #include "common/failpoint.h"
 #include "obs/metrics.h"
@@ -207,12 +206,8 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
     fn(comm);
     return;
   }
-  // Budget resolved on the caller's thread (it sees any enclosing scope),
-  // then applied per rank so ranks x kernel threads <= num_threads().
-  const int budget = std::max(1, backend::num_threads() / world);
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
   auto body = [&](int r) {
-    backend::LocalThreadScope scope(budget);
     try {
       TreeCommunicator comm(group.transport(r));
       fn(comm);

@@ -20,11 +20,12 @@
 // why N-rank gradients then match 1-rank bit for bit).
 //
 // run_ranks() is the in-process entry point: it spawns `world` rank threads
-// (rank 0 runs on the caller's thread), gives each a per-rank kernel thread
-// budget via backend::LocalThreadScope so ranks x kernel threads never
-// oversubscribes the machine, and turns a throwing rank into a world-wide
-// abort instead of a deadlock (peers blocked in a collective unblock with
-// AbortedError; the original exception is rethrown to the caller).
+// (rank 0 runs on the caller's thread) and turns a throwing rank into a
+// world-wide abort instead of a deadlock (peers blocked in a collective
+// unblock with AbortedError; the original exception is rethrown to the
+// caller). Rank kernels share the backend's one core budget
+// (backend/parallel.h), so ranks x kernel threads never oversubscribes the
+// machine.
 //
 // Failpoints: every allreduce evaluates the "comm.allreduce" site, so tests
 // and operators can inject a mid-collective death (see common/failpoint.h).
@@ -97,8 +98,8 @@ int max_world_size();
 // Resolve a rank-count request to an effective world size.
 //   requested > 0   explicit programmatic request: clamped to [1, kMaxWorld]
 //                   (tests and benches may oversubscribe small machines —
-//                   ranks beyond the core count timeslice; the per-rank
-//                   kernel budget in run_ranks keeps total threads bounded)
+//                   ranks beyond the core count timeslice; the kernel
+//                   core budget keeps total threads bounded)
 //   requested <= 0  read the ADEPT_RANKS environment knob: clamped to
 //                   [1, max_world_size()]; unset, unparsable, or
 //                   non-positive values fall back to 1
@@ -107,10 +108,9 @@ int max_world_size();
 int resolve_ranks(int requested = 0);
 
 // Run fn(comm) on `world` in-process rank threads and wait for all of them.
-// Rank 0 executes on the calling thread. Each rank runs under a
-// LocalThreadScope of max(1, backend::num_threads() / world) kernel threads.
-// If any rank throws, the group is aborted (peers unblock with AbortedError)
-// and the lowest-rank non-abort exception is rethrown after the join.
+// Rank 0 executes on the calling thread. If any rank throws, the group is
+// aborted (peers unblock with AbortedError) and the lowest-rank non-abort
+// exception is rethrown after the join.
 void run_ranks(int world, const std::function<void(Communicator&)>& fn);
 
 }  // namespace adept::comm

@@ -4,23 +4,16 @@
 // minutes on a laptop; ADEPT_BENCH_* variables scale them toward paper scale.
 //
 // Runtime knobs consumed elsewhere through env_int()/env_string():
-//   ADEPT_NUM_THREADS   worker count for the src/backend kernel layer
-//                       (default: hardware concurrency; 1 = serial fallback —
+//   ADEPT_NUM_THREADS   core budget for the src/backend kernel layer: the
+//                       most threads (callers plus pool helpers) executing
+//                       kernel launches at once, process-wide (default:
+//                       hardware concurrency; 1 = serial fallback —
 //                       backend results are bit-exact across thread counts,
 //                       see backend/parallel.h).
 //   ADEPT_SIMD          dispatch cap for the SIMD microkernels:
 //                       scalar | avx2 | avx512 (default: best level the
 //                       binary + CPU support; unknown or unavailable values
 //                       clamp down, never error — see backend/dispatch.h).
-//   ADEPT_DEVICE        default execution context plans route their steps
-//                       to: serial | threaded (default threaded; unknown
-//                       values clamp to threaded, never error — see
-//                       backend/context.h). Serial and threaded contexts
-//                       are ASSERT_EQ bit-identical at every SIMD level
-//                       (tests/test_context.cpp); `serial` caps each
-//                       kernel launch to one thread without touching the
-//                       global ADEPT_NUM_THREADS, the right shape when an
-//                       outer pool (the serving workers) owns the cores.
 //   ADEPT_RANKS         data-parallel rank count for search/training entry
 //                       points (default 1; see comm/communicator.h
 //                       resolve_ranks). Clamped to [1, hardware ranks]
@@ -29,10 +22,11 @@
 //                       or unparsable values fall back to 1, never error.
 //                       N-rank results are ASSERT_EQ bit-identical to 1-rank
 //                       at every thread count (tests/test_comm.cpp) — the
-//                       knob trades wall clock, never numerics. Each rank
-//                       gets a kernel thread budget of
-//                       ADEPT_NUM_THREADS / ranks (min 1) so ranks x threads
-//                       never oversubscribes the machine.
+//                       knob trades wall clock, never numerics. All ranks
+//                       share the one ADEPT_NUM_THREADS core budget, so
+//                       with every core busy running a rank, rank kernels
+//                       run inline and ranks x threads never
+//                       oversubscribes the machine.
 //
 // Serving knobs consumed by runtime::ServerConfig::from_env() (see
 // runtime/server.h; out-of-range values clamp into the supported envelope,

@@ -1,12 +1,16 @@
 // Tests for the src/backend dense kernel layer: blocked gemm (all transpose
 // variants, non-square/odd shapes, alpha/beta), fused elementwise kernels,
-// im2col/col2im, thread-count bit-exactness, and gradchecks of the autograd
-// ops ported onto the backend.
+// im2col/col2im, thread-count bit-exactness, the kernel thread pool under
+// concurrent callers, and gradchecks of the autograd ops ported onto the
+// backend.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -15,6 +19,7 @@
 #include "backend/kernels.h"
 #include "backend/parallel.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -497,6 +502,154 @@ TEST(Determinism, GemmBatchedBitExactAcrossThreadCounts) {
       ASSERT_EQ(c[i], base[i]) << "threads=" << threads << " elem " << i;
     }
   }
+}
+
+// ---- the kernel thread pool under concurrent callers ----------------------
+
+// Runs body(caller) on `callers` threads at once and joins them.
+template <typename Body>
+void run_callers(int callers, const Body& body) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < callers; ++t) threads.emplace_back(body, t);
+  for (auto& th : threads) th.join();
+}
+
+// Every caller, alone or among 8 concurrent ones, sees each index of its
+// range exactly once at every core budget.
+TEST(Parallel, ConcurrentCallersCoverEveryIndexExactlyOnce) {
+  const std::int64_t n = 10'007;  // prime, so chunks never divide evenly
+  for (int budget : {1, 4}) {
+    be::ThreadScope scope(budget);
+    for (int callers : {1, 8}) {
+      std::vector<std::vector<std::int32_t>> hits(
+          static_cast<std::size_t>(callers),
+          std::vector<std::int32_t>(static_cast<std::size_t>(n), 0));
+      run_callers(callers, [&](int c) {
+        auto& mine = hits[static_cast<std::size_t>(c)];
+        for (int rep = 0; rep < 20; ++rep) {
+          be::parallel_for(n, 64, [&](std::int64_t i0, std::int64_t i1) {
+            for (std::int64_t i = i0; i < i1; ++i) {
+              mine[static_cast<std::size_t>(i)] += 1;
+            }
+          });
+        }
+      });
+      for (int c = 0; c < callers; ++c) {
+        for (std::int64_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)], 20)
+              << "budget " << budget << " callers " << callers << " caller "
+              << c << " index " << i;
+        }
+      }
+    }
+  }
+}
+
+// A launch from inside a chunk runs inline on the thread executing that
+// chunk, so nesting completes instead of waiting on a busy pool.
+TEST(Parallel, NestedLaunchInsideChunkCompletes) {
+  be::ThreadScope scope(4);
+  const std::int64_t outer = 64, inner = 1000;
+  std::vector<std::int64_t> sums(static_cast<std::size_t>(outer), 0);
+  be::parallel_for(outer, 1, [&](std::int64_t o0, std::int64_t o1) {
+    for (std::int64_t o = o0; o < o1; ++o) {
+      std::vector<std::int64_t> part(static_cast<std::size_t>(inner), 0);
+      be::parallel_for(inner, 10, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i) {
+          part[static_cast<std::size_t>(i)] = o + i;
+        }
+      });
+      for (std::int64_t v : part) sums[static_cast<std::size_t>(o)] += v;
+    }
+  });
+  for (std::int64_t o = 0; o < outer; ++o) {
+    EXPECT_EQ(sums[static_cast<std::size_t>(o)], o * inner + inner * (inner - 1) / 2);
+  }
+}
+
+// Concurrent callers sharing the pool (ranks, server workers) get the same
+// bits as a lone single-threaded caller, at every core budget.
+TEST(Parallel, ConcurrentCallersBitIdenticalAtEveryBudget) {
+  Rng rng(36);
+  const std::int64_t m = 97, n = 65, k = 301;
+  const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+  const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+  const auto x = random_vec<float>(100'000, rng);
+  auto compute = [&](std::vector<float>& c, double& sum) {
+    c.assign(static_cast<std::size_t>(m * n), 0.0f);
+    be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+             c.data(), n);
+    sum = be::reduce_sum(x.data(), x.size());
+  };
+  std::vector<float> ref;
+  double ref_sum = 0.0;
+  {
+    be::ThreadScope one(1);
+    compute(ref, ref_sum);
+  }
+  constexpr int kCallers = 8;
+  for (int budget : {1, 2, 4}) {
+    be::ThreadScope scope(budget);
+    std::vector<std::vector<float>> out(kCallers);
+    std::vector<double> sums(kCallers, 0.0);
+    run_callers(kCallers, [&](int c) {
+      for (int rep = 0; rep < 5; ++rep) {
+        compute(out[static_cast<std::size_t>(c)], sums[static_cast<std::size_t>(c)]);
+      }
+    });
+    for (int c = 0; c < kCallers; ++c) {
+      EXPECT_EQ(sums[static_cast<std::size_t>(c)], ref_sum) << "budget " << budget;
+      ASSERT_EQ(out[static_cast<std::size_t>(c)], ref)
+          << "budget " << budget << " caller " << c;
+    }
+  }
+}
+
+// A throwing chunk, on the caller or a helper, reaches the caller once the
+// claimed chunks are done, and the pool keeps serving launches afterwards.
+TEST(Parallel, ChunkExceptionReachesCaller) {
+  be::ThreadScope scope(4);
+  for (int rep = 0; rep < 20; ++rep) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(be::parallel_for(64, 1,
+                                  [&](std::int64_t i0, std::int64_t) {
+                                    ran.fetch_add(1);
+                                    if (i0 == 37) throw std::runtime_error("chunk");
+                                  }),
+                 std::runtime_error);
+    EXPECT_GE(ran.load(), 1);
+  }
+  std::atomic<std::int64_t> total{0};
+  be::parallel_for(64, 1, [&](std::int64_t i0, std::int64_t i1) {
+    total.fetch_add(i1 - i0);
+  });
+  EXPECT_EQ(total.load(), 64);
+}
+
+// The pool's registry counters: every multi-chunk launch counts, a launch
+// at a budget of one never reaches the pool, and a nested launch runs
+// inline (counted, not fanned out).
+TEST(Parallel, LaunchCountersTrackInlineAndFannedOut) {
+  adept::obs::Counter& launches = adept::obs::counter("backend.pool.launches");
+  adept::obs::Counter& fanned = adept::obs::counter("backend.pool.fanned_out");
+  auto body = [](std::int64_t, std::int64_t) {};
+  {
+    be::ThreadScope one(1);
+    const std::uint64_t before = launches.value();
+    be::parallel_for(1000, 10, body);
+    EXPECT_EQ(launches.value(), before);
+  }
+  be::ThreadScope four(4);
+  const std::uint64_t l0 = launches.value();
+  const std::uint64_t f0 = fanned.value();
+  be::parallel_for(1000, 10, body);
+  EXPECT_EQ(launches.value(), l0 + 1);
+  EXPECT_LE(fanned.value(), f0 + 1);
+  be::parallel_for(4, 1, [&](std::int64_t, std::int64_t) {
+    be::parallel_for(1000, 10, body);
+  });
+  EXPECT_EQ(launches.value(), l0 + 2 + 4);  // the outer launch + 4 nested
+  EXPECT_LE(fanned.value(), f0 + 2);        // only outer launches fan out
 }
 
 // ---- gradchecks over the autograd ops now running on the backend ---------

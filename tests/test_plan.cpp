@@ -8,7 +8,9 @@
 // to the tape). The opt-in int8 mode is exempt from that contract but makes
 // its own promises: integer kernels are bit-identical across SIMD levels,
 // results are independent of micro-batch composition, and outputs stay
-// close to fp32.
+// close to fp32. Both modes are bit-identical at every kernel thread count,
+// and failures injected into the step dispatch loop (the runtime.plan.step
+// failpoint) surface from run() and through a serving future.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,10 +18,14 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "backend/dispatch.h"
 #include "backend/kernels.h"
+#include "backend/parallel.h"
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/version.h"
 #include "data/synthetic.h"
@@ -28,6 +34,7 @@
 #include "nn/train.h"
 #include "photonics/builders.h"
 #include "runtime/compiled_model.h"
+#include "runtime/server.h"
 
 namespace {
 
@@ -94,7 +101,7 @@ rt::CompiledModel freeze(nn::OnnModel& model, std::vector<std::int64_t> dims,
 }
 
 void expect_bit_identical(const std::vector<float>& a,
-                          const std::vector<float>& b, const char* what) {
+                          const std::vector<float>& b, const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << what << " element " << i;
@@ -331,6 +338,114 @@ TEST(PlanRefresh, SkipsWeightRepackWhenVersionUnchanged) {
   adept::bump_param_version();
   EXPECT_TRUE(cm.refresh(model));
   EXPECT_GT(rt::weight_pack_count(), packs_after_freeze);
+}
+
+// ---- serial == threaded ------------------------------------------------------
+
+// Kernel chunk boundaries are pure functions of problem size, never of the
+// thread count, so a plan run with a core budget of one matches the default
+// budget bit for bit — fp32 at every SIMD level and batch size, and int8.
+TEST(PlanParity, SerialThreadedBitIdenticalAcrossSimdLevels) {
+  nn::OnnModel mlp = make_mlp(7);
+  nn::OnnModel lenet = make_lenet(19);
+  rt::CompiledModel mlp_cm = freeze(mlp, {17}, /*optimize=*/true);
+  rt::CompiledModel net_cm = freeze(lenet, {1, 16, 16}, /*optimize=*/true);
+  Rng rng(3);
+  for (be::SimdLevel level : be::available_simd_levels()) {
+    be::SimdScope scope(level);
+    for (std::int64_t batch : {1, 3, 16}) {
+      const std::string tag = std::string("level ") +
+                              be::simd_level_name(level) + " batch " +
+                              std::to_string(batch);
+      const std::vector<float> xm = random_input(batch * 17, rng);
+      const std::vector<float> xl = random_input(batch * 256, rng);
+      std::vector<float> mlp_serial, net_serial;
+      {
+        be::ThreadScope one(1);
+        mlp_serial = mlp_cm.run(xm, batch);
+        net_serial = net_cm.run(xl, batch);
+      }
+      expect_bit_identical(mlp_serial, mlp_cm.run(xm, batch), "mlp " + tag);
+      expect_bit_identical(net_serial, net_cm.run(xl, batch), "lenet " + tag);
+    }
+  }
+}
+
+TEST(PlanParity, SerialThreadedBitIdenticalInt8) {
+  nn::OnnModel model = make_lenet(23);
+  rt::CompiledModel q =
+      freeze(model, {1, 16, 16}, /*optimize=*/true, /*quantize=*/true);
+  Rng rng(5);
+  for (be::SimdLevel level : be::available_simd_levels()) {
+    be::SimdScope scope(level);
+    for (std::int64_t batch : {1, 5, 16}) {
+      const std::vector<float> x = random_input(batch * 256, rng);
+      std::vector<float> serial;
+      {
+        be::ThreadScope one(1);
+        serial = q.run(x, batch);
+      }
+      expect_bit_identical(
+          serial, q.run(x, batch),
+          std::string("int8 level ") + be::simd_level_name(level) + " batch " +
+              std::to_string(batch));
+    }
+  }
+}
+
+// ---- error propagation out of the step dispatch loop ------------------------
+
+TEST(PlanFailpoint, StepFailureThrowsFromRun) {
+  nn::OnnModel model = make_mlp(13);
+  rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  Rng rng(17);
+  const std::vector<float> x = random_input(17, rng);
+  const std::uint64_t before = adept::failpoint::hit_count("runtime.plan.step");
+  {
+    adept::failpoint::Scoped fp("runtime.plan.step", "throw");
+    EXPECT_THROW(cm.run(x, 1), adept::failpoint::Injected);
+  }
+  EXPECT_GT(adept::failpoint::hit_count("runtime.plan.step"), before);
+  // Disarmed, the same plan serves normally again.
+  EXPECT_EQ(cm.run(x, 1).size(), 4u);
+}
+
+TEST(PlanFailpoint, StepErrorSpecRunsTheSitesOwnErrorPath) {
+  nn::OnnModel model = make_mlp(31);
+  rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  Rng rng(37);
+  const std::vector<float> x = random_input(17, rng);
+  adept::failpoint::Scoped fp("runtime.plan.step", "error");
+  // "error" makes maybe_fail return true: the dispatch loop maps that onto
+  // its own failure handling, a std::runtime_error naming the step.
+  try {
+    cm.run(x, 1);
+    FAIL() << "expected the step dispatch loop to fail";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("runtime.plan.step"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("step 0"), std::string::npos) << msg;
+  }
+}
+
+TEST(PlanFailpoint, StepFailureSurfacesThroughServingFuture) {
+  nn::OnnModel model = make_mlp(41);
+  rt::CompiledModel cm = freeze(model, {17}, /*optimize=*/true);
+  rt::ServerConfig cfg;
+  cfg.threads = 1;
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 0;
+  rt::Server server(cm, cfg);
+  Rng rng(43);
+  {
+    adept::failpoint::Scoped fp("runtime.plan.step", "throw");
+    auto fut = server.submit(random_input(17, rng));
+    EXPECT_THROW(fut.get(), adept::failpoint::Injected);
+  }
+  // The worker survives an injected step failure: the next request is
+  // answered normally by the same (sole) worker.
+  auto ok = server.submit(random_input(17, rng));
+  EXPECT_EQ(ok.get().size(), 4u);
 }
 
 }  // namespace

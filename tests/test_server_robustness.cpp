@@ -76,11 +76,20 @@ class ServerRobustnessTest : public ::testing::Test {
 // the forward for `stall_us`, leaving the queue free to fill behind it.
 std::future<std::vector<float>> plug_worker(rt::Server& server, Rng& rng,
                                             std::int64_t stall_us) {
+  const std::uint64_t hits = fp::hit_count("server.worker.batch");
   fp::arm("server.worker.batch", "1*stall(" + std::to_string(stall_us) + ")");
-  auto plug = server.submit(random_input(18, rng));
-  // Give the (idle, already-waiting) worker ample time to pop the plug and
-  // enter the stall before the caller starts filling the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // An explicit "no deadline": the plug must not inherit a config default
+  // and expire before the worker pops it.
+  auto plug = server.submit(random_input(18, rng), /*deadline_us=*/0);
+  // The site records its hit before the stall runs, so once the count rises
+  // the worker holds the plug and the caller may fill the queue behind it.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fp::hit_count("server.worker.batch") == hits &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_GT(fp::hit_count("server.worker.batch"), hits)
+      << "the worker never picked up the plug";
   return plug;
 }
 
