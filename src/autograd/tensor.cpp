@@ -100,27 +100,55 @@ void Tensor::set_at(std::int64_t r, std::int64_t c, float v) {
 
 namespace {
 
-// Iterative post-order topological sort (avoids recursion depth limits on
-// long SuperMesh chains).
-void topo_sort(TensorImpl* root, std::vector<TensorImpl*>& order) {
+// Iterative post-order topological sort from every root (avoids recursion
+// depth limits on long SuperMesh chains).
+std::vector<TensorImpl*> topo_sort(const std::vector<TensorImpl*>& roots) {
+  std::vector<TensorImpl*> order;
   std::unordered_set<TensorImpl*> visited;
   std::vector<std::pair<TensorImpl*, std::size_t>> stack;
-  stack.emplace_back(root, 0);
-  visited.insert(root);
-  while (!stack.empty()) {
-    auto& [node, next_child] = stack.back();
-    if (next_child < node->parents.size()) {
-      TensorImpl* child = node->parents[next_child].impl();
-      ++next_child;
-      if (child != nullptr && visited.insert(child).second) {
-        stack.emplace_back(child, 0);
+  for (TensorImpl* root : roots) {
+    if (visited.insert(root).second) stack.emplace_back(root, 0);
+    while (!stack.empty()) {
+      auto& [node, next_child] = stack.back();
+      if (next_child < node->parents.size()) {
+        TensorImpl* child = node->parents[next_child].impl();
+        ++next_child;
+        if (child != nullptr && visited.insert(child).second) {
+          stack.emplace_back(child, 0);
+        }
+      } else {
+        order.push_back(node);
+        stack.pop_back();
       }
-    } else {
-      order.push_back(node);
-      stack.pop_back();
+    }
+  }
+  return order;
+}
+
+// Backpropagate from roots whose grads are already seeded, in one pass.
+void run_backward(const std::vector<TensorImpl*>& roots) {
+  const std::vector<TensorImpl*> order = topo_sort(roots);
+  // Op nodes keep no gradient state across backward calls: when several
+  // losses share subexpressions (the SuperMesh step state is reused by every
+  // micro-shard forward within a step), a stale intermediate grad from an
+  // earlier backward would be re-propagated into the leaves. Leaves are NOT
+  // cleared — they accumulate until the caller zeroes them.
+  for (TensorImpl* node : order) {
+    if (node->backward_fn && !node->grad.empty() &&
+        std::find(roots.begin(), roots.end(), node) == roots.end()) {
+      node->grad.assign(node->grad.size(), 0.0f);
+    }
+  }
+  // Post-order puts the roots last; walk in reverse (roots first).
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    TensorImpl* node = *it;
+    if (node->backward_fn && !node->grad.empty()) {
+      node->backward_fn(*node);
     }
   }
 }
+
+thread_local StepScope* g_step_scope = nullptr;
 
 }  // namespace
 
@@ -134,25 +162,42 @@ void Tensor::backward(const std::vector<float>* seed_grad) const {
     check(impl_->numel() == 1, "backward: non-scalar root needs a seed grad");
     impl_->grad[0] = 1.0f;
   }
-  std::vector<TensorImpl*> order;
-  topo_sort(impl_.get(), order);
-  // Op nodes keep no gradient state across backward calls: when several
-  // losses share subexpressions (the SuperMesh step state is reused by every
-  // micro-shard forward within a step), a stale intermediate grad from an
-  // earlier backward would be re-propagated into the leaves. Leaves are NOT
-  // cleared — they accumulate until the caller zeroes them.
-  for (TensorImpl* node : order) {
-    if (node->backward_fn && !node->grad.empty() && node != impl_.get()) {
-      node->grad.assign(node->grad.size(), 0.0f);
-    }
+  run_backward({impl_.get()});
+}
+
+StepScope::StepScope() : outer_(g_step_scope) { g_step_scope = this; }
+StepScope::~StepScope() { g_step_scope = outer_; }
+StepScope* StepScope::current() { return g_step_scope; }
+
+Tensor StepScope::share(const void* owner, const Tensor& expr) {
+  check(!leaf(owner).defined(), "StepScope: owner already shared this step");
+  entries_.push_back(
+      {owner, expr, make_tensor(expr.data(), expr.shape(), expr.requires_grad())});
+  return entries_.back().leaf;
+}
+
+Tensor StepScope::leaf(const void* owner) const {
+  for (const auto& e : entries_) {
+    if (e.owner == owner) return e.leaf;
   }
-  // Post-order puts the root last; walk in reverse (root first).
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    TensorImpl* node = *it;
-    if (node->backward_fn && !node->grad.empty()) {
-      node->backward_fn(*node);
-    }
+  return Tensor();
+}
+
+std::vector<Tensor> StepScope::leaves() const {
+  std::vector<Tensor> out;
+  for (const auto& e : entries_) out.push_back(e.leaf);
+  return out;
+}
+
+void StepScope::backward_shared() {
+  std::vector<TensorImpl*> roots;
+  for (auto& e : entries_) {
+    if (!e.expr.requires_grad() || !e.leaf.has_grad()) continue;
+    e.expr.impl()->grad = std::move(e.leaf.impl()->grad);
+    roots.push_back(e.expr.impl());
   }
+  if (!roots.empty()) run_backward(roots);
+  entries_.clear();
 }
 
 void Tensor::detach_() {

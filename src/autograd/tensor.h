@@ -120,6 +120,37 @@ struct TensorImpl {
   }
 };
 
+// Step-shared expressions. A step of the micro-shard loops (comm/sharded.h)
+// runs one forward/backward per shard over ONE parameter state, so a
+// parameter-derived expression (a PTC weight's U*Sigma*V chain) is the same
+// in every pass. Inside an open StepScope, share() builds it once: it keeps
+// the expression and returns a leaf holding its value, which leaf() hands to
+// every pass, so shard backwards stop at the leaf. backward_shared() then
+// runs one backward from all kept expressions, seeded with the leaves'
+// (reduced) grads, and forgets them. Scopes are per thread (one per rank
+// thread); with none open, leaf() finds nothing.
+class StepScope {
+ public:
+  StepScope();
+  ~StepScope();
+  StepScope(const StepScope&) = delete;
+  StepScope& operator=(const StepScope&) = delete;
+
+  static StepScope* current();  // innermost scope on this thread, or null
+  Tensor share(const void* owner, const Tensor& expr);
+  Tensor leaf(const void* owner) const;  // undefined if `owner` has none
+  std::vector<Tensor> leaves() const;    // in share() order
+  void backward_shared();
+
+ private:
+  struct Entry {
+    const void* owner;
+    Tensor expr, leaf;
+  };
+  std::vector<Entry> entries_;
+  StepScope* outer_;
+};
+
 // Construct a leaf tensor.
 Tensor make_tensor(std::vector<float> data, std::vector<std::int64_t> shape,
                    bool requires_grad);

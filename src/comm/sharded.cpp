@@ -31,8 +31,11 @@ int shard_owner(int shard, int shards, int world) {
 }
 
 ShardedGradReducer::ShardedGradReducer(std::vector<ag::Tensor> params,
-                                       int scalar_slots)
-    : params_(std::move(params)), scalar_slots_(scalar_slots) {
+                                       int scalar_slots, ag::StepScope* step)
+    : params_(std::move(params)), scalar_slots_(scalar_slots), step_(step) {
+  if (step_ != nullptr) {
+    for (auto& leaf : step_->leaves()) params_.push_back(leaf);
+  }
   std::size_t bucket = 0, fill = 0;
   for (const auto& p : params_) {
     const std::size_t n = static_cast<std::size_t>(p.numel());
@@ -84,6 +87,10 @@ void ShardedGradReducer::merge(Snapshot& left, const Snapshot& right) {
   left.count += right.count;
 }
 
+void ShardedGradReducer::zero_grads() {
+  for (auto& p : params_) p.zero_grad();
+}
+
 void ShardedGradReducer::add_shard(const std::vector<double>& scalars) {
   stack_.push_back(make_snapshot(scalars));
   // Binary-counter merge: combining equal-sized neighbors realizes the fixed
@@ -125,6 +132,7 @@ std::vector<double> ShardedGradReducer::finish(
       std::memcpy(g.data(), src, g.size() * sizeof(float));
     }
   }
+  if (step_ != nullptr) step_->backward_shared();
   return total.scalars;
 }
 

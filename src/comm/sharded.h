@@ -66,9 +66,10 @@ int shard_owner(int shard, int shards, int world);
 // Accumulates per-shard gradients of a fixed parameter list in the fixed
 // shard-tree order, then allreduces the result across ranks. Usage per step:
 //
-//   ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
+//   ag::StepScope step;  // then share the step's weights (every rank)
+//   ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1, &step);
 //   for (each owned shard s, ascending) {
-//     zero all grads; build shard loss; backward;
+//     reducer.zero_grads(); build shard loss; backward;
 //     reducer.add_shard({loss_value});
 //   }
 //   // typically from Optimizer's pre-step hook:
@@ -80,10 +81,20 @@ int shard_owner(int shard, int shards, int world);
 // addend that is identical on every rank (penalty gradients computed
 // redundantly per rank) — is added elementwise AFTER the cross-rank reduce,
 // so it is counted once, not world_size times.
+//
+// With a `step` scope the reducer also reduces the grads of the step's
+// shared leaves (ag::StepScope — the PTC weights every shard forward reads),
+// in the same buckets and tree. finish() then runs the scope's one backward
+// from the weight expressions into the parameters, replicated on every rank
+// like the penalty gradients. The leaves join the reduced list at
+// construction, so every rank must have shared the same weights by then.
 class ShardedGradReducer {
  public:
-  ShardedGradReducer(std::vector<ag::Tensor> params, int scalar_slots);
+  ShardedGradReducer(std::vector<ag::Tensor> params, int scalar_slots,
+                     ag::StepScope* step = nullptr);
 
+  // Zero the grads of every reduced tensor (call before each shard).
+  void zero_grads();
   void add_shard(const std::vector<double>& scalars);
   std::vector<double> finish(
       Communicator& comm,
@@ -106,6 +117,7 @@ class ShardedGradReducer {
 
   std::vector<ag::Tensor> params_;
   int scalar_slots_;
+  ag::StepScope* step_;
   std::vector<std::size_t> bucket_of_;     // param index -> bucket index
   std::vector<std::size_t> offset_of_;     // param index -> offset in bucket
   std::vector<std::size_t> bucket_elems_;  // bucket index -> element count

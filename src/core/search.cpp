@@ -29,11 +29,16 @@ AdeptSearcher::AdeptSearcher(const SearchConfig& config, ProxyTask& task)
 }
 
 SearchResult AdeptSearcher::run(comm::Communicator* comm) {
-  const bool sharded = comm != nullptr;
-  if (sharded && !task_.supports_sharding()) {
+  if (!task_.supports_sharding()) {
     throw std::invalid_argument(
-        "AdeptSearcher: task does not support sharded (data-parallel) "
-        "execution; run() without a communicator instead");
+        "AdeptSearcher: the search runs micro-shard steps, and this task "
+        "does not implement the ProxyTask shard API (supports_sharding, "
+        "begin_step_items, loss_shard)");
+  }
+  if (comm == nullptr) {
+    SearchResult result;
+    comm::run_ranks(1, [&](comm::Communicator& c) { result = run(&c); });
+    return result;
   }
   SearchResult result;
   const int total_steps = config_.epochs * config_.steps_per_epoch;
@@ -42,14 +47,14 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   // Search telemetry (docs/observability.md): per-step wall time + span on
   // every rank (per-rank skew shows in the trace), loss/penalty gauges
   // tracking the latest step, and a counter for SPL legalization events.
-  // Under data parallelism the traced values are rank-identical by the
-  // bit-exactness contract, so rank 0's gauge writes equal every rank's.
+  // The traced values are rank-identical by the bit-exactness contract, so
+  // rank 0 records for everyone.
   obs::Histogram& step_us = obs::histogram("search.step_us");
   obs::Gauge& g_task_loss = obs::gauge("search.task_loss");
   obs::Gauge& g_footprint_penalty = obs::gauge("search.footprint_penalty");
   obs::Counter& legalizations = obs::counter("search.legalize_count");
   static const obs::TraceId t_step = obs::intern_name("search.step");
-  const bool telemetry_rank = !sharded || comm->rank() == 0;
+  const bool telemetry_rank = comm->rank() == 0;
 
   AlmState alm(static_cast<std::size_t>(mesh_->total_blocks()), config_.mesh.k,
                config_.alm);
@@ -60,10 +65,9 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     for (auto& w : task_.weights()) params.push_back(w);
     return params;
   };
-  // Every differentiable leaf a loss graph can touch. The sharded path runs
-  // several backward passes per step (one per owned shard + one for the
-  // replicated penalties), so grads must be wiped between passes on ALL
-  // leaves, not just the stepped optimizer's.
+  // Every differentiable leaf a loss graph can touch: a step runs several
+  // backward passes (one per owned shard + one for the replicated
+  // penalties), and the penalty pass must start from zeroed grads.
   auto all_params = [&]() {
     std::vector<Tensor> params = weight_params();
     for (auto& a : mesh_->arch_params()) params.push_back(a);
@@ -82,7 +86,6 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   std::vector<std::vector<float>>* cur_penalty = nullptr;
   std::vector<double> reduced_scalars;
   auto attach_hook = [&](optim::Optimizer& opt) {
-    if (!sharded) return;
     opt.set_pre_step_hook([&, comm] {
       reduced_scalars = cur_reducer->finish(*comm, cur_penalty);
     });
@@ -95,9 +98,8 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
 
   int cycle = 0;
   for (int step = 0; step < total_steps; ++step) {
-    // RAII covers both branch exits of the step body (the unsharded branch
-    // leaves via `continue`). Histogram entries on rank 0 only, so count
-    // == steps regardless of world size; spans on every rank.
+    // Histogram entries on rank 0 only, so count == steps regardless of
+    // world size; spans on every rank.
     obs::TraceSpan step_span(t_step);
     obs::ScopedTimerUs step_timer(telemetry_rank ? &step_us : nullptr);
     const int epoch = step / config_.steps_per_epoch;
@@ -122,66 +124,30 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
 
     mesh_->begin_step(tau, rng_, /*stochastic=*/true);
 
-    if (!sharded) {
-      Tensor task_loss = task_.loss(*mesh_, /*validation=*/arch_step);
-      Tensor loss = task_loss;
-      std::vector<Tensor> perms;
-      if (!mesh_->permutations_frozen()) {
-        perms = mesh_->all_relaxed_perms();
-        loss = ag::add(loss, alm.penalty(perms));
-      }
-      Tensor penalty = mesh_->footprint_penalty_expr(config_.footprint);
-      if (!warmup) loss = ag::add(loss, penalty);
-      // Record E[F] before the optimizer mutates parameters: the value then
-      // describes the same parameters as task_loss/penalty above (and reads
-      // the block-count cache footprint_penalty_expr just filled, instead of
-      // re-running SPL legalization per query).
-      result.trace.expected_footprint.push_back(
-          mesh_->expected_footprint(config_.footprint.pdk));
-
-      if (arch_step) {
-        arch_opt.zero_grad();
-        loss.backward();
-        arch_opt.step();
-      } else {
-        weight_opt->zero_grad();
-        loss.backward();
-        weight_opt->step();
-        if (!mesh_->permutations_frozen()) alm.update(perms);
-      }
-
-      result.trace.task_loss.push_back(task_loss.item());
-      result.trace.alm_lambda.push_back(alm.mean_lambda());
-      result.trace.alm_rho.push_back(alm.rho());
-      result.trace.permutation_error.push_back(
-          perms.empty() ? 0.0 : alm.permutation_error(perms));
-      result.trace.footprint_penalty.push_back(penalty.item());
-      g_task_loss.set(result.trace.task_loss.back());
-      g_footprint_penalty.set(result.trace.footprint_penalty.back());
-      continue;
-    }
-
-    // ---- sharded (data-parallel) step ----------------------------------
     // Task gradients come from one backward per owned micro-shard, combined
     // across shards and ranks in the fixed tree order of comm/sharded.h.
-    // The ALM + footprint penalty gradients are replicated (identical on
-    // every rank), computed in a separate pass, and added exactly once
-    // after the cross-rank reduce.
+    // The task shares its step weights into `step_scope` from
+    // begin_step_items, so the shard backwards stop at them and the reducer
+    // pushes the reduced weight grads into phases and theta once. The ALM +
+    // footprint penalty gradients are replicated (identical on every rank),
+    // computed in a separate pass, and added exactly once after the
+    // cross-rank reduce.
+    ag::StepScope step_scope;
     const std::int64_t items = task_.begin_step_items(arch_step);
     const int shards = comm::shard_count(items);
     optim::Optimizer& opt =
         arch_step ? static_cast<optim::Optimizer&>(arch_opt) : *weight_opt;
-    comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
+    comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1,
+                                     &step_scope);
     const std::int64_t stat_cols = task_.stat_slots();
     std::vector<float> stat_rows(
         static_cast<std::size_t>(shards) * static_cast<std::size_t>(stat_cols),
         0.0f);
-    std::vector<Tensor> leaves = all_params();
     for (int s = 0; s < shards; ++s) {
       if (comm::shard_owner(s, shards, comm->world_size()) != comm->rank()) {
         continue;
       }
-      for (auto& p : leaves) p.zero_grad();
+      reducer.zero_grads();
       const auto range = comm::shard_range(items, s, shards);
       Tensor shard_loss =
           task_.loss_shard(*mesh_, arch_step, range.lo, range.hi, items);
@@ -193,7 +159,7 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
                                       static_cast<std::size_t>(stat_cols));
       }
     }
-    for (auto& p : leaves) p.zero_grad();
+    for (auto& p : all_params()) p.zero_grad();
     std::vector<Tensor> perms;
     Tensor penalty = mesh_->footprint_penalty_expr(config_.footprint);
     Tensor extra = Tensor::scalar(0.0f);
@@ -211,6 +177,9 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     std::vector<Tensor> opt_params = opt.params();
     std::vector<std::vector<float>> penalty_grads =
         comm::ShardedGradReducer::harvest_grads(opt_params);
+    // Record E[F] before the optimizer mutates parameters: the value then
+    // describes the same parameters as the losses above (and reads the
+    // block-count cache footprint_penalty_expr just filled).
     result.trace.expected_footprint.push_back(
         mesh_->expected_footprint(config_.footprint.pdk));
 
@@ -290,30 +259,18 @@ void MatrixFitTask::bind(SuperMesh& mesh) {
 }
 
 Tensor MatrixFitTask::loss(SuperMesh& mesh, bool validation) {
-  (void)validation;  // same targets for both splits in the synthetic proxy
-  Tensor total = Tensor::scalar(0.0f);
-  for (int t = 0; t < tiles_; ++t) {
-    CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
-    CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
-    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
-    const std::int64_t k = mesh.k();
-    CxTensor us = ag::cscale(
-        u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));
-    CxTensor w = ag::cmatmul(us, v);
-    Tensor err = ag::sub(w.re, targets_[static_cast<std::size_t>(t)]);
-    total = ag::add(total, ag::mean(ag::square(err)));
-  }
-  return ag::mul_scalar(total, 1.0f / static_cast<float>(tiles_));
+  return loss_shard(mesh, validation, 0, tiles_, tiles_);
 }
 
 Tensor MatrixFitTask::loss_shard(SuperMesh& mesh, bool validation,
                                  std::int64_t lo, std::int64_t hi,
                                  std::int64_t items) {
-  (void)validation;
+  (void)validation;  // same targets for both splits in the synthetic proxy
   Tensor total = Tensor::scalar(0.0f);
   for (std::int64_t t = lo; t < hi; ++t) {
     CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
     CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
+    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
     const std::int64_t k = mesh.k();
     CxTensor us = ag::cscale(
         u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));

@@ -38,7 +38,8 @@ class ProxyTask {
   virtual ~ProxyTask() = default;
   // Called once before training so the task can size its weights.
   virtual void bind(SuperMesh& mesh) = 0;
-  // Build the loss for the current step (begin_step was already called).
+  // Build the loss of one whole batch (begin_step was already called) —
+  // metrics and direct evaluation; search steps use the shard API below.
   // `validation` distinguishes the bilevel split (weights vs architecture).
   virtual ag::Tensor loss(SuperMesh& mesh, bool validation) = 0;
   // Task-owned trainable parameters.
@@ -46,15 +47,18 @@ class ProxyTask {
   // Optional scalar quality metric for traces (higher is better).
   virtual double metric(SuperMesh& mesh) { (void)mesh; return 0.0; }
 
-  // ---- optional micro-shard support (data-parallel search, src/comm) ----
+  // ---- micro-shard support (every search step, src/comm) ---------------
   // A sharding task splits each step's loss into per-item-range shard
-  // losses whose sum equals the step loss; AdeptSearcher::run(comm) then
+  // losses whose sum equals the step loss; AdeptSearcher::run then
   // distributes the shards over ranks with the fixed reduction order of
-  // comm/sharded.h (results are bit-identical at any rank count).
+  // comm/sharded.h (results are bit-identical at any rank count). The
+  // search needs it: run() rejects a task that does not support sharding.
   virtual bool supports_sharding() const { return false; }
   // Draw/pin this step's items — called exactly once per step on EVERY rank
-  // (so any task-internal rng advances identically) — and return the item
-  // count to shard over.
+  // (so any task-internal rng advances identically), inside the step's
+  // open ag::StepScope, where the task may share step-invariant weights
+  // (OnnProxyTask shares its PTC weights) — and return the item count to
+  // shard over.
   virtual std::int64_t begin_step_items(bool validation) {
     (void)validation;
     return 0;
@@ -120,14 +124,13 @@ class AdeptSearcher {
  public:
   AdeptSearcher(const SearchConfig& config, ProxyTask& task);
 
-  // comm == nullptr: the single-process path (unchanged numerics).
-  // comm != nullptr: the micro-shard data-parallel path — each rank must own
-  // its own AdeptSearcher + task replica built from the same config/seed
-  // (see run_search_data_parallel); gradients are allreduced through the
-  // stepped optimizer's pre-step hook. Bit-identical results at any world
-  // size in {1, 2, 4, 8} — note world 1 still runs the sharded numerics,
-  // which differ from the nullptr path (a different but equally
-  // deterministic summation order).
+  // Runs the micro-shard search step on the ranks of `comm`; each rank
+  // must own its own AdeptSearcher + task replica built from the same
+  // config/seed (see run_search_data_parallel); gradients are allreduced
+  // through the stepped optimizer's pre-step hook. comm == nullptr runs the
+  // same step on a world of 1. Bit-identical results at any world size in
+  // {1, 2, 4, 8}. Throws std::invalid_argument if the task does not
+  // support sharding.
   SearchResult run(comm::Communicator* comm = nullptr);
   SuperMesh& mesh() { return *mesh_; }
   const SearchConfig& config() const { return config_; }
@@ -142,9 +145,8 @@ class AdeptSearcher {
 // Data-parallel search entry point: spawns `ranks` in-process rank threads
 // (0 = resolve the ADEPT_RANKS knob), builds one task replica per rank with
 // `make_task` (replicas must be deterministic functions of their
-// construction — same datasets, same seeds), runs the sharded search on
-// each, and returns rank 0's result. With ranks resolving to 1 this still
-// runs the sharded path so results are comparable across rank counts.
+// construction — same datasets, same seeds), runs the search on each, and
+// returns rank 0's result, which equals AdeptSearcher::run() bit for bit.
 SearchResult run_search_data_parallel(
     const SearchConfig& config,
     const std::function<std::unique_ptr<ProxyTask>()>& make_task,

@@ -33,6 +33,11 @@ struct OnnModel {
   // Change sigma only, keeping each layer's drift stream position (nominal
   // evaluations toggle noise off/on without replaying the stream).
   void set_phase_noise_sigma(double sigma);
+  // Build every photonic layer's weight once for the open ag::StepScope
+  // (see PtcWeight::share_step_weight).
+  void share_step_weights() {
+    for (auto* layer : onn_layers) layer->weight().share_step_weight();
+  }
   // Push/pop of the full per-layer noise state (sigma + stream).
   std::vector<PhaseNoiseState> save_phase_noise() const;
   void restore_phase_noise(const std::vector<PhaseNoiseState>& states);

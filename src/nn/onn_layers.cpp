@@ -209,6 +209,9 @@ Tensor PtcWeight::build_weight() {
 
 Tensor PtcWeight::weight_expr() {
   if (binding_.kind == PtcBinding::Kind::dense) return dense_weight_;
+  if (const ag::StepScope* step = ag::StepScope::current()) {
+    if (Tensor leaf = step->leaf(this); leaf.defined()) return leaf;
+  }
   // Under NoGradGuard with noise off the materialized weight is a pure
   // function of the parameter/noise version: reuse it until something bumps
   // adept::param_version() (optimizer step, begin_step, noise setters).
@@ -234,6 +237,13 @@ Tensor PtcWeight::weight_expr() {
     cached_version_ = version;
   }
   return w;
+}
+
+void PtcWeight::share_step_weight() {
+  if (binding_.kind == PtcBinding::Kind::dense) return;  // already a leaf
+  ag::StepScope* step = ag::StepScope::current();
+  ag::check(step != nullptr, "PtcWeight::share_step_weight: no open StepScope");
+  step->share(this, build_weight());
 }
 
 Tensor PtcWeight::weight_expr_per_tile() {
@@ -278,7 +288,9 @@ std::vector<Tensor> PtcWeight::parameters() {
 
 ONNLinear::ONNLinear(std::int64_t in_features, std::int64_t out_features,
                      const PtcBinding& binding, adept::Rng& rng, bool bias)
-    : in_(in_features), out_(out_features), weight_(out_features, in_features, binding, rng) {
+    : OnnLayer(out_features, in_features, binding, rng),
+      in_(in_features),
+      out_(out_features) {
   if (bias) bias_ = Tensor::zeros({1, out_}, /*requires_grad=*/true);
 }
 
@@ -299,31 +311,15 @@ std::vector<Tensor> ONNLinear::parameters() {
   return out;
 }
 
-void ONNLinear::set_phase_noise(double sigma, std::uint64_t seed) {
-  weight_.set_phase_noise(sigma, seed);
-}
-
-void ONNLinear::set_phase_noise_sigma(double sigma) {
-  weight_.set_phase_noise_sigma(sigma);
-}
-
-PhaseNoiseState ONNLinear::phase_noise_state() const {
-  return weight_.phase_noise_state();
-}
-
-void ONNLinear::restore_phase_noise(const PhaseNoiseState& state) {
-  weight_.restore_phase_noise(state);
-}
-
 ONNConv2d::ONNConv2d(std::int64_t in_channels, std::int64_t out_channels,
                      std::int64_t kernel, const PtcBinding& binding, adept::Rng& rng,
                      std::int64_t stride, std::int64_t pad, bool bias)
-    : in_c_(in_channels),
+    : OnnLayer(out_channels, in_channels * kernel * kernel, binding, rng),
+      in_c_(in_channels),
       out_c_(out_channels),
       k_(kernel),
       stride_(stride),
-      pad_(pad),
-      weight_(out_channels, in_channels * kernel * kernel, binding, rng) {
+      pad_(pad) {
   if (bias) bias_ = Tensor::zeros({1, out_c_}, /*requires_grad=*/true);
 }
 
@@ -342,22 +338,6 @@ std::vector<Tensor> ONNConv2d::parameters() {
   auto out = weight_.parameters();
   if (bias_.defined()) out.push_back(bias_);
   return out;
-}
-
-void ONNConv2d::set_phase_noise(double sigma, std::uint64_t seed) {
-  weight_.set_phase_noise(sigma, seed);
-}
-
-void ONNConv2d::set_phase_noise_sigma(double sigma) {
-  weight_.set_phase_noise_sigma(sigma);
-}
-
-PhaseNoiseState ONNConv2d::phase_noise_state() const {
-  return weight_.phase_noise_state();
-}
-
-void ONNConv2d::restore_phase_noise(const PhaseNoiseState& state) {
-  weight_.restore_phase_noise(state);
 }
 
 }  // namespace adept::nn

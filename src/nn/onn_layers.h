@@ -62,10 +62,14 @@ class PtcWeight {
             const PtcBinding& binding, adept::Rng& rng);
 
   // Weight expression [out, in] for the current step: the batched path (one
-  // tape node per chain stage for all tiles). Rebuilt per forward while
-  // gradients are tracked; cached per parameter/noise version under
-  // NoGradGuard with noise off.
+  // tape node per chain stage for all tiles). Inside an ag::StepScope that
+  // this weight has shared, the step's leaf; otherwise rebuilt per forward
+  // while gradients are tracked, and cached per parameter/noise version
+  // under NoGradGuard with noise off.
   ag::Tensor weight_expr();
+  // Build the weight once for the open ag::StepScope (drawing any phase
+  // noise once), so every forward of the step shares it. No-op for dense.
+  void share_step_weight();
   // Reference implementation building each tile's chain separately (the
   // pre-batching tape). With phase noise off it is bit-exact against
   // weight_expr — values and gradients — at any thread count; kept for
@@ -130,14 +134,26 @@ class PtcWeight {
   std::uint64_t cached_version_ = 0;
 };
 
-// Base for ONN layers exposing noise control (used by variation-aware
-// training, see variation.h).
+// Base for ONN layers: owns the layer's PtcWeight and exposes its noise
+// control (used by variation-aware training, see variation.h).
 class OnnLayer : public Module {
  public:
-  virtual void set_phase_noise(double sigma, std::uint64_t seed) = 0;
-  virtual void set_phase_noise_sigma(double sigma) = 0;
-  virtual PhaseNoiseState phase_noise_state() const = 0;
-  virtual void restore_phase_noise(const PhaseNoiseState& state) = 0;
+  PtcWeight& weight() { return weight_; }
+  void set_phase_noise(double sigma, std::uint64_t seed) {
+    weight_.set_phase_noise(sigma, seed);
+  }
+  void set_phase_noise_sigma(double sigma) { weight_.set_phase_noise_sigma(sigma); }
+  PhaseNoiseState phase_noise_state() const { return weight_.phase_noise_state(); }
+  void restore_phase_noise(const PhaseNoiseState& state) {
+    weight_.restore_phase_noise(state);
+  }
+
+ protected:
+  OnnLayer(std::int64_t out_features, std::int64_t in_features,
+           const PtcBinding& binding, adept::Rng& rng)
+      : weight_(out_features, in_features, binding, rng) {}
+
+  PtcWeight weight_;
 };
 
 class ONNLinear : public OnnLayer {
@@ -146,11 +162,6 @@ class ONNLinear : public OnnLayer {
             const PtcBinding& binding, adept::Rng& rng, bool bias = true);
   ag::Tensor forward(const ag::Tensor& x) override;  // [N,in] -> [N,out]
   std::vector<ag::Tensor> parameters() override;
-  void set_phase_noise(double sigma, std::uint64_t seed) override;
-  void set_phase_noise_sigma(double sigma) override;
-  PhaseNoiseState phase_noise_state() const override;
-  void restore_phase_noise(const PhaseNoiseState& state) override;
-  PtcWeight& weight() { return weight_; }
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
   bool has_bias() const { return bias_.defined(); }
@@ -158,7 +169,6 @@ class ONNLinear : public OnnLayer {
 
  private:
   std::int64_t in_, out_;
-  PtcWeight weight_;
   ag::Tensor bias_;
 };
 
@@ -169,11 +179,6 @@ class ONNConv2d : public OnnLayer {
             std::int64_t pad = 0, bool bias = true);
   ag::Tensor forward(const ag::Tensor& x) override;  // [N,C,H,W]
   std::vector<ag::Tensor> parameters() override;
-  void set_phase_noise(double sigma, std::uint64_t seed) override;
-  void set_phase_noise_sigma(double sigma) override;
-  PhaseNoiseState phase_noise_state() const override;
-  void restore_phase_noise(const PhaseNoiseState& state) override;
-  PtcWeight& weight() { return weight_; }
   std::int64_t in_channels() const { return in_c_; }
   std::int64_t out_channels() const { return out_c_; }
   std::int64_t kernel() const { return k_; }
@@ -183,8 +188,7 @@ class ONNConv2d : public OnnLayer {
   ag::Tensor& bias() { return bias_; }
 
  private:
-  std::int64_t in_c_, out_c_, k_, stride_, pad_;
-  PtcWeight weight_;  // logical [out_c, in_c*k*k]
+  std::int64_t in_c_, out_c_, k_, stride_, pad_;  // weight_: [out_c, in_c*k*k]
   ag::Tensor bias_;
 };
 

@@ -22,8 +22,8 @@ using ag::Tensor;
 namespace {
 
 // The cosine schedule must span the GLOBAL step count, derived from the
-// dataset itself, so every rank of a data-parallel run (and the legacy loop)
-// anneals identically no matter how its local loader is shaped.
+// dataset itself, so every rank of a data-parallel run anneals identically
+// no matter how its local loader is shaped.
 int global_steps_per_epoch(const data::SyntheticDataset& train_set,
                            const TrainConfig& config) {
   return (train_set.size() + config.batch_size - 1) / config.batch_size;
@@ -66,20 +66,20 @@ void replay_bn_rows(const std::vector<BatchNorm2d*>& bns, const float* rows,
   }
 }
 
-// Variation-aware noise in the sharded path is a pure function of
-// (step, shard): each shard forward re-arms the drift streams, so the noise
-// a sample sees never depends on how many forwards this rank ran before.
-std::uint64_t shard_noise_seed(std::uint64_t seed, int step, int shard) {
-  const std::uint64_t tag =
-      static_cast<std::uint64_t>(step) * (comm::kMaxShards + 1) +
-      static_cast<std::uint64_t>(shard) + 1;
-  return (seed ^ 0xbeefULL) + 0x9e3779b97f4a7c15ULL * tag;
+// Variation-aware noise is drawn once per step, from (seed, step): every
+// rank arms the same drift before building the step's shared weights, so
+// all shards of the step (on any rank) see one draw.
+std::uint64_t step_noise_seed(std::uint64_t seed, int step) {
+  return (seed ^ 0xbeefULL) +
+         0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(step) + 1);
 }
 
-TrainStats train_classifier_ranked(OnnModel& model,
-                                   const data::SyntheticDataset& train_set,
-                                   const data::SyntheticDataset& test_set,
-                                   const TrainConfig& config, int world) {
+}  // namespace
+
+TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train_set,
+                            const data::SyntheticDataset& test_set,
+                            const TrainConfig& config) {
+  const int world = comm::resolve_ranks(config.ranks);
   std::string bytes;
   if (world > 1) {
     try {
@@ -123,8 +123,8 @@ TrainStats train_classifier_ranked(OnnModel& model,
         [&] { step_scalars = cur_reducer->finish(c); });
 
     // Per-epoch telemetry: histogram/counter/gauges on rank 0 only so the
-    // recorded counts match the single-rank path regardless of world size;
-    // spans on every rank so per-rank skew shows up in the trace.
+    // recorded counts do not depend on the world size; spans on every rank
+    // so per-rank skew shows up in the trace.
     obs::Histogram& h_epoch_us = obs::histogram("train.epoch_us");
     obs::Gauge& g_loss = obs::gauge("train.loss");
     obs::Gauge& g_acc = obs::gauge("train.accuracy");
@@ -143,11 +143,19 @@ TrainStats train_classifier_ranked(OnnModel& model,
       for (int b = 0; b < nb; ++b) {
         if (config.cosine_lr) opt.set_lr(schedule.at(step));
         // Every rank assembles the full step batch (cheap, keeps the rng
-        // streams identical) and computes only its owned micro-shards.
+        // streams identical), builds the step's PTC weights once, and
+        // computes only its owned micro-shards against them.
         data::Batch batch = loader.batch(b);
         const auto n = static_cast<std::int64_t>(batch.labels.size());
         const int shards = comm::shard_count(n);
-        comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1);
+        ag::StepScope step_scope;
+        if (config.train_phase_noise > 0.0) {
+          m->set_phase_noise(config.train_phase_noise,
+                             step_noise_seed(config.seed, step));
+        }
+        m->share_step_weights();
+        comm::ShardedGradReducer reducer(opt.params(), /*scalar_slots=*/1,
+                                         &step_scope);
         std::vector<float> stat_rows(
             static_cast<std::size_t>(shards) *
                 static_cast<std::size_t>(stat_cols),
@@ -156,11 +164,7 @@ TrainStats train_classifier_ranked(OnnModel& model,
           if (comm::shard_owner(s, shards, c.world_size()) != c.rank()) {
             continue;
           }
-          opt.zero_grad();
-          if (config.train_phase_noise > 0.0) {
-            m->set_phase_noise(config.train_phase_noise,
-                               shard_noise_seed(config.seed, step, s));
-          }
+          reducer.zero_grads();
           const auto r = comm::shard_range(n, s, shards);
           data::Batch sb = data::slice_batch(batch, r.lo, r.hi);
           Tensor logits = m->net->forward(sb.images);
@@ -212,71 +216,6 @@ TrainStats train_classifier_ranked(OnnModel& model,
       stats = std::move(local);
     }
   });
-  return stats;
-}
-
-}  // namespace
-
-TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train_set,
-                            const data::SyntheticDataset& test_set,
-                            const TrainConfig& config) {
-  const int world = comm::resolve_ranks(config.ranks);
-  if (world > 1 || config.data_parallel) {
-    return train_classifier_ranked(model, train_set, test_set, config, world);
-  }
-  adept::Rng rng(config.seed);
-  data::DataLoader loader(train_set, config.batch_size);
-  optim::Adam opt(model.parameters(), config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
-  const int total_steps = config.epochs * global_steps_per_epoch(train_set, config);
-  optim::CosineLr schedule(config.lr, total_steps);
-  if (config.train_phase_noise > 0.0) {
-    model.set_phase_noise(config.train_phase_noise, config.seed ^ 0xbeef);
-  }
-
-  obs::Histogram& h_epoch_us = obs::histogram("train.epoch_us");
-  obs::Gauge& g_loss = obs::gauge("train.loss");
-  obs::Gauge& g_acc = obs::gauge("train.accuracy");
-  obs::Counter& epochs_total = obs::counter("train.epochs");
-  static const obs::TraceId t_epoch = obs::intern_name("train.epoch");
-
-  TrainStats stats;
-  int step = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    obs::TraceSpan epoch_span(t_epoch);
-    obs::ScopedTimerUs epoch_timer(h_epoch_us);
-    model.set_training(true);
-    loader.shuffle(rng);
-    double epoch_loss = 0.0;
-    const int nb = loader.batches_per_epoch();
-    for (int b = 0; b < nb; ++b) {
-      if (config.cosine_lr) opt.set_lr(schedule.at(step));
-      data::Batch batch = loader.batch(b);
-      Tensor logits = model.net->forward(batch.images);
-      Tensor loss = cross_entropy_loss(logits, batch.labels);
-      opt.zero_grad();
-      loss.backward();
-      opt.step();
-      epoch_loss += loss.item();
-      ++step;
-    }
-    stats.train_loss_per_epoch.push_back(epoch_loss / std::max(1, nb));
-    // evaluate_accuracy runs nominally (it pushes sigma to 0 and pops the
-    // full noise state afterwards), so the variation-aware drift stream
-    // armed before the epoch loop keeps advancing across epochs instead of
-    // replaying the same seed every epoch.
-    stats.test_accuracy_per_epoch.push_back(evaluate_accuracy(model, test_set));
-    epochs_total.inc();
-    g_loss.set(stats.train_loss_per_epoch.back());
-    g_acc.set(stats.test_accuracy_per_epoch.back());
-    if (config.verbose) {
-      std::printf("  epoch %d: loss %.4f acc %.4f\n", epoch,
-                  stats.train_loss_per_epoch.back(),
-                  stats.test_accuracy_per_epoch.back());
-    }
-  }
-  stats.final_accuracy = stats.test_accuracy_per_epoch.empty()
-                             ? 0.0
-                             : stats.test_accuracy_per_epoch.back();
   return stats;
 }
 
@@ -355,6 +294,9 @@ std::int64_t OnnProxyTask::begin_step_items(bool validation) {
   // Sharded training forwards must not fold batch statistics into the
   // running stats on the spot — capture them for the gather/replay protocol.
   for (auto* bn : bn_layers_) bn->set_stat_capture(true);
+  // Every rank builds the step's PTC weights on the mesh state of this
+  // step, once, for all its shard forwards (the search's open StepScope).
+  model_.share_step_weights();
   step_batch_ = next_batch(validation);
   return static_cast<std::int64_t>(step_batch_.labels.size());
 }

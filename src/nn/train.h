@@ -2,7 +2,7 @@
 //
 //   train_classifier    supervised training of an OnnModel (used for
 //                       re-training searched topologies, baselines, and
-//                       variation-aware training)
+//                       variation-aware training) on a world of >= 1 ranks
 //   evaluate_accuracy   test-set accuracy (optionally under phase noise)
 //   OnnProxyTask        core::ProxyTask implementation that embeds a live
 //                       SuperMesh into the proxy CNN and trains it on the
@@ -31,13 +31,12 @@ struct TrainConfig {
   double train_phase_noise = 0.0;
   bool verbose = false;
   // Data-parallel rank count: 0 resolves the ADEPT_RANKS knob (default 1),
-  // explicit values are clamped by comm::resolve_ranks. With a resolved
-  // world of 1 the legacy single-process loop runs unless data_parallel
-  // forces the sharded numerics (sharded results are bit-identical across
-  // rank counts, but are a different deterministic summation order than the
-  // legacy loop).
+  // explicit values are clamped by comm::resolve_ranks. Every step splits
+  // its batch into the size-only micro-shards of comm/sharded.h (BatchNorm
+  // normalizes per shard; phase noise is drawn once per step), so results
+  // are bit-identical at any rank count. More than one rank replicates the
+  // model through a checkpoint, which supermesh-bound models do not support.
   int ranks = 0;
-  bool data_parallel = false;
 };
 
 struct TrainStats {
@@ -68,10 +67,11 @@ class OnnProxyTask : public core::ProxyTask {
   std::vector<ag::Tensor> weights() override;
   double metric(core::SuperMesh& mesh) override;  // validation accuracy
 
-  // Micro-shard support (data-parallel search): the shard items are the
-  // samples of the step's batch; BatchNorm running stats go through the
-  // capture/gather/replay protocol (stat row = [mean C | var C] per BN
-  // layer in module order).
+  // Micro-shard support (the search's step): the shard items are the
+  // samples of the step's batch; begin_step_items shares the step's PTC
+  // weights into the search's open ag::StepScope; BatchNorm running stats
+  // go through the capture/gather/replay protocol (stat row =
+  // [mean C | var C] per BN layer in module order).
   bool supports_sharding() const override { return true; }
   std::int64_t begin_step_items(bool validation) override;
   ag::Tensor loss_shard(core::SuperMesh& mesh, bool validation,

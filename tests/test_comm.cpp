@@ -368,7 +368,7 @@ TEST(RankParity, TrainClassifierBitIdenticalAcrossRanks) {
   spec.width = 14;
   // 50 samples at batch 24: the last batch holds 2 samples, so shard counts
   // vary per step (8, 8, 2) — the awkward case the size-only shard math must
-  // absorb. Phase noise on: the per-(step, shard) noise re-arm is covered.
+  // absorb. Phase noise on: the per-step noise draw is covered.
   data::SyntheticDataset train(spec, 50, 4);
   data::SyntheticDataset test(spec, 32, 5);
   nn::TrainConfig config;
@@ -376,7 +376,6 @@ TEST(RankParity, TrainClassifierBitIdenticalAcrossRanks) {
   config.batch_size = 24;
   config.seed = 7;
   config.train_phase_noise = 0.02;
-  config.data_parallel = true;  // world 1 still runs the sharded numerics
 
   auto run_at = [&](int ranks, int threads) {
     be::ThreadScope scope(threads);
@@ -407,6 +406,93 @@ TEST(RankParity, TrainClassifierBitIdenticalAcrossRanks) {
   ASSERT_EQ(s1.final_accuracy, s4t4.final_accuracy);
   ASSERT_EQ(s1.final_accuracy, s2t2.final_accuracy);
   ASSERT_EQ(s1.train_loss_per_epoch, s4.train_loss_per_epoch);
+}
+
+TEST(RankParity, DefaultSearchMatchesFourRanks) {
+  // AdeptSearcher::run() without a communicator is the same micro-shard
+  // step on a world of one, so it equals the 4-rank search bit for bit.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 48, 1);
+  data::SyntheticDataset val(spec, 32, 2);
+  auto config = parity_search_config();
+  config.epochs = 2;
+  config.steps_per_epoch = 6;
+  config.spl_epoch = 1;
+  auto make_task = [&] {
+    return std::make_unique<nn::OnnProxyTask>(train, val, /*batch=*/12,
+                                              /*width=*/4, /*seed=*/10);
+  };
+  auto task = make_task();
+  core::AdeptSearcher searcher(config, *task);
+  const auto r1 = searcher.run();
+  const auto r4 = core::run_search_data_parallel(config, make_task, 4);
+  assert_traces_equal(r1.trace, r4.trace);
+  ASSERT_EQ(r1.topology.serialize(), r4.topology.serialize());
+  ASSERT_EQ(r1.final_metric, r4.final_metric);
+}
+
+TEST(RankParity, DefaultTrainingMatchesFourRanks) {
+  // ranks = 1 with no other switch runs the same loop as ranks = 4.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 50, 4);
+  data::SyntheticDataset test(spec, 32, 5);
+  nn::TrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 24;
+  config.seed = 9;
+  auto run_at = [&](int ranks) {
+    auto model = parity_model(33);
+    auto cfg = config;
+    cfg.ranks = ranks;
+    const auto stats = nn::train_classifier(model, train, test, cfg);
+    return std::make_pair(model.parameters(), stats);
+  };
+  auto [p1, s1] = run_at(1);
+  auto [p4, s4] = run_at(4);
+  ASSERT_EQ(p1.size(), p4.size());
+  for (std::size_t i = 0; i < p1.size(); ++i) {
+    ASSERT_EQ(p1[i].data(), p4[i].data()) << "param " << i;
+  }
+  ASSERT_EQ(s1.final_accuracy, s4.final_accuracy);
+  ASSERT_EQ(s1.train_loss_per_epoch, s4.train_loss_per_epoch);
+}
+
+TEST(RankParity, SingleRankTrainsUncheckpointableModels) {
+  // One rank trains the caller's model in place, so a supermesh-bound
+  // model (no checkpoint, no replicas) trains through the same loop.
+  auto spec = data::DatasetSpec::mnist_like();
+  spec.height = 14;
+  spec.width = 14;
+  data::SyntheticDataset train(spec, 32, 8);
+  data::SyntheticDataset test(spec, 16, 9);
+  core::SuperMeshConfig mesh_config;
+  mesh_config.k = 4;
+  mesh_config.super_blocks_per_unitary = 2;
+  mesh_config.always_on_per_unitary = 1;
+  Rng rng(5);
+  core::SuperMesh mesh(mesh_config, rng);
+  mesh.begin_step(/*tau=*/1.0, rng, /*stochastic=*/false);
+  Rng mrng(6);
+  auto model = nn::make_proxy_cnn(1, 14, 10, nn::PtcBinding::searched(&mesh),
+                                  mrng, 4);
+  std::vector<std::vector<float>> before;
+  for (auto& p : model.parameters()) before.push_back(p.data());
+  nn::TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 16;
+  config.ranks = 1;
+  const auto stats = nn::train_classifier(model, train, test, config);
+  ASSERT_EQ(stats.train_loss_per_epoch.size(), 1u);
+  EXPECT_TRUE(std::isfinite(stats.train_loss_per_epoch.front()));
+  // Every parameter (phases and Sigma included) moved.
+  const auto after = model.parameters();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_NE(after[i].data(), before[i]) << "param " << i;
+  }
 }
 
 TEST(RankParity, RankedTrainingStillLearns) {

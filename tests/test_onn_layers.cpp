@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
+#include "comm/communicator.h"
+#include "comm/sharded.h"
 #include "common/rng.h"
 #include "core/supermesh.h"
+#include "nn/loss.h"
+#include "nn/models.h"
 #include "nn/onn_layers.h"
 #include "photonics/builders.h"
 
 namespace {
 
 namespace ag = adept::ag;
+namespace comm = adept::comm;
 namespace core = adept::core;
 namespace nn = adept::nn;
 namespace ph = adept::photonics;
@@ -223,6 +230,111 @@ TEST(ONNLinear, SuperMeshBindingTrainsEndToEnd) {
   bool arch_grad = false;
   for (auto& t : mesh.arch_params()) arch_grad = arch_grad || t.has_grad();
   EXPECT_TRUE(arch_grad);
+}
+
+// ---- StepWeight: the step-shared PTC weight (ag::StepScope) ---------------
+
+// BN-free model: one ONNLinear on a fixed butterfly PTC (2x3 tiles of K=8).
+nn::OnnModel step_weight_model(Rng& rng) {
+  auto fc = std::make_shared<nn::ONNLinear>(24, 10,
+                                            nn::PtcBinding::fixed(butterfly8()), rng);
+  nn::OnnModel model;
+  model.net = std::make_shared<nn::Sequential>();
+  model.net->add(fc);
+  model.onn_layers.push_back(fc.get());
+  return model;
+}
+
+std::vector<std::vector<float>> grads_of(std::vector<Tensor> params) {
+  std::vector<std::vector<float>> out;
+  for (auto& p : params) out.push_back(p.grad());
+  return out;
+}
+
+TEST(StepWeight, EightShardStepMatchesFullBatchBackward) {
+  Rng rng(21);
+  nn::OnnModel model = step_weight_model(rng);
+  const std::int64_t n = 16;
+  Tensor x = random_input({n, 24}, rng);
+  std::vector<int> labels;
+  for (std::int64_t i = 0; i < n; ++i) labels.push_back(static_cast<int>(i % 10));
+  std::vector<Tensor> params = model.parameters();
+
+  // Reference: one plain full-batch backward through the weight chain.
+  for (auto& p : params) p.zero_grad();
+  nn::cross_entropy_loss(model.net->forward(x), labels).backward();
+  const auto want = grads_of(params);
+
+  // One step of the micro-shard loop: 8 shard backwards stop at the shared
+  // weight leaf; the reducer pushes the reduced dW into phases and Sigma.
+  for (auto& p : params) p.zero_grad();
+  const int shards = comm::shard_count(n);
+  ASSERT_EQ(shards, 8);
+  comm::run_ranks(1, [&](comm::Communicator& c) {
+    ag::StepScope step;
+    model.share_step_weights();
+    comm::ShardedGradReducer reducer(params, /*scalar_slots=*/1, &step);
+    for (int s = 0; s < shards; ++s) {
+      reducer.zero_grads();
+      const auto r = comm::shard_range(n, s, shards);
+      std::vector<int> sl(labels.begin() + r.lo, labels.begin() + r.hi);
+      Tensor loss = ag::mul_scalar(
+          nn::cross_entropy_loss(
+              model.net->forward(ag::slice2d(x, r.lo, r.hi - r.lo, 0, 24)), sl),
+          static_cast<float>(r.hi - r.lo) / static_cast<float>(n));
+      loss.backward();
+      // The shard graph ends at the step leaf: no phase gets a gradient.
+      for (auto& p : model.onn_layers[0]->weight().parameters()) {
+        for (float g : p.grad()) ASSERT_EQ(g, 0.0f);
+      }
+      reducer.add_shard({static_cast<double>(loss.item())});
+    }
+    reducer.finish(c);
+  });
+  const auto got = grads_of(params);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    float scale = 0.0f;
+    for (float g : want[i]) scale = std::max(scale, std::fabs(g));
+    ASSERT_GT(scale, 0.0f) << "param " << i;
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_NEAR(got[i][j], want[i][j], 1e-5f * scale + 1e-7f)
+          << "param " << i << " elem " << j;
+    }
+  }
+}
+
+TEST(StepWeight, EndedStepReturnsNoStaleLeaf) {
+  Rng rng(22);
+  nn::OnnModel model = step_weight_model(rng);
+  nn::PtcWeight& w = model.onn_layers[0]->weight();
+  Tensor x = random_input({4, 24}, rng);
+  auto phase_grad_norm = [&] {
+    double sum = 0.0;
+    for (auto& p : w.parameters()) {
+      for (float g : p.grad()) sum += std::fabs(g);
+    }
+    return sum;
+  };
+  auto forward_backward = [&] {
+    for (auto& p : model.parameters()) p.zero_grad();
+    ag::sum(ag::square(model.net->forward(x))).backward();
+  };
+  {
+    ag::StepScope step;
+    model.share_step_weights();
+    EXPECT_TRUE(w.weight_expr().impl() == step.leaf(&w).impl());
+    forward_backward();
+    EXPECT_EQ(phase_grad_norm(), 0.0);  // stopped at the step leaf
+    step.backward_shared();             // drains the step's leaves
+    EXPECT_FALSE(step.leaf(&w).defined());
+    forward_backward();
+    EXPECT_GT(phase_grad_norm(), 0.0);
+  }
+  EXPECT_EQ(ag::StepScope::current(), nullptr);
+  forward_backward();
+  EXPECT_GT(phase_grad_norm(), 0.0);
 }
 
 }  // namespace
