@@ -192,12 +192,6 @@ CxTensor cmatmul(const CxTensor& a, const CxTensor& b) {
           plane_view(node, std::move(im), {n, m}, nm)};
 }
 
-CxTensor cmatmul_unfused(const CxTensor& a, const CxTensor& b) {
-  Tensor re = sub(matmul(a.re, b.re), matmul(a.im, b.im));
-  Tensor im = add(matmul(a.re, b.im), matmul(a.im, b.re));
-  return {re, im};
-}
-
 CxTensor cscale(const CxTensor& a, const Tensor& s) {
   return {mul(a.re, s), mul(a.im, s)};
 }

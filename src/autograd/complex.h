@@ -44,9 +44,6 @@ CxTensor csub(const CxTensor& a, const CxTensor& b);
 // cgemms backward. Creates exactly one compute node on the tape (shared by
 // the re/im plane views).
 CxTensor cmatmul(const CxTensor& a, const CxTensor& b);
-// The pre-fusion lowering (four real matmuls + two combines, 6 tape nodes).
-// Kept as the reference/baseline for tests and the perf-trajectory bench.
-CxTensor cmatmul_unfused(const CxTensor& a, const CxTensor& b);
 // Multiply by a real tensor (broadcasting follows ops.h rules).
 CxTensor cscale(const CxTensor& a, const Tensor& s);
 CxTensor cscale(const CxTensor& a, float s);

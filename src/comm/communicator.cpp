@@ -1,7 +1,9 @@
 #include "comm/communicator.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "common/env.h"
@@ -40,16 +42,92 @@ int floor_pow2(int n) {
 
 }  // namespace
 
-TreeCommunicator::TreeCommunicator(std::unique_ptr<Transport> transport)
-    : transport_(std::move(transport)) {
-  if (transport_->world_size() > kMaxWorld) {
-    throw std::invalid_argument("TreeCommunicator: world_size exceeds kMaxWorld");
+// Shared state of one in-process world: a window-slot table plus a
+// generation-counted, poisonable barrier. Every rank thread holds a
+// Communicator over the same group; run_ranks keeps it alive until they
+// have all joined.
+class InProcessGroup {
+ public:
+  explicit InProcessGroup(int world)
+      : world_(world), windows_(static_cast<std::size_t>(world)) {}
+
+  // Make `bytes` at `data` readable by every peer; returns once ALL ranks
+  // have published. The barrier doubles as the release/acquire edge that
+  // makes the slot table (and the published payloads) visible across rank
+  // threads.
+  //
+  // Every rank then checks that all ranks published the same length, before
+  // any rank reads a peer. A mismatch throws on every rank at once, so no
+  // rank unwinds (freeing its buffer) while a peer is still reading it.
+  void publish(int rank, const void* data, std::size_t bytes) {
+    windows_[static_cast<std::size_t>(rank)] = {data, bytes};
+    barrier();
+    for (const auto& w : windows_) {
+      if (w.bytes != bytes) {
+        throw std::runtime_error("comm: ranks published different lengths");
+      }
+    }
   }
-}
+
+  // `len` bytes at offset `off` of `peer`'s published buffer, read-only and
+  // valid until release().
+  const void* read(int peer, std::size_t off, std::size_t len) const {
+    const auto& w = windows_[static_cast<std::size_t>(peer)];
+    if (w.data == nullptr || off + len > w.bytes) {
+      throw std::runtime_error("comm: read outside a peer's published buffer");
+    }
+    return static_cast<const unsigned char*>(w.data) + off;
+  }
+
+  // All ranks stop reading before any publisher reuses its buffer.
+  void release(int rank) {
+    barrier();
+    windows_[static_cast<std::size_t>(rank)] = {};
+  }
+
+  void barrier() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (poisoned_) throw AbortedError();
+    if (++arrived_ == world_) {
+      arrived_ = 0;
+      ++generation_;
+      cv_.notify_all();
+      return;
+    }
+    const std::uint64_t gen = generation_;
+    cv_.wait(lock, [&] { return generation_ != gen || poisoned_; });
+    if (generation_ == gen && poisoned_) throw AbortedError();
+  }
+
+  // Poison the barrier: every rank blocked in (or later entering) one
+  // unblocks by throwing AbortedError, so a rank that dies mid-collective
+  // cannot deadlock the world.
+  void abort() {
+    std::lock_guard<std::mutex> lock(mu_);
+    poisoned_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  struct Window {
+    const void* data = nullptr;
+    std::size_t bytes = 0;
+  };
+
+  int world_;
+  std::vector<Window> windows_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  std::uint64_t generation_ = 0;
+  bool poisoned_ = false;
+};
 
 template <typename T>
-void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
+void Communicator::allreduce_impl(T* data, std::int64_t n) {
   failpoint::maybe_fail("comm.allreduce");
+  const int w = world_;
+  if (w == 1) return;  // nothing moves, so nothing is recorded
   // Collective telemetry, every rank: one span per call (each rank's
   // records land in its own thread ring, so per-rank skew is visible in
   // the trace) plus call/byte counters. Instruments resolve once; the
@@ -60,18 +138,16 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
   calls.inc();
   if (n > 0) bytes_moved.inc(static_cast<std::uint64_t>(n) * sizeof(T));
   obs::TraceSpan span(t_span);
-  const int w = world_size();
-  if (w == 1 || n <= 0) return;
-  const int me = rank();
+  if (n <= 0) return;
+  const int me = rank_;
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
   reduced_.resize(bytes);
-  scratch_.resize(std::min<std::size_t>(bytes, kChunkElems * sizeof(T)));
   T* red = reinterpret_cast<T*>(reduced_.data());
 
   // Phase 1 (reduce-scatter): chunk c is reduced by rank c % w, reading every
   // rank's published source buffer. The per-element order is the fixed rank
   // tree regardless of which rank owns the chunk.
-  transport_->publish(data, bytes);
+  group_->publish(me, data, bytes);
   const std::int64_t chunks = (n + kChunkElems - 1) / kChunkElems;
   for (std::int64_t c = 0; c < chunks; ++c) {
     if (c % w != me) continue;
@@ -81,10 +157,9 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
     for (int r = 0; r < w; ++r) {
       src[r] = (r == me)
                    ? data + lo
-                   : static_cast<const T*>(transport_->peer_window(
+                   : static_cast<const T*>(group_->read(
                          r, static_cast<std::size_t>(lo) * sizeof(T),
-                         static_cast<std::size_t>(hi - lo) * sizeof(T),
-                         scratch_.data())) ;
+                         static_cast<std::size_t>(hi - lo) * sizeof(T)));
     }
     for (std::int64_t i = 0; i < hi - lo; ++i) {
       T v[kMaxWorld] = {};
@@ -92,11 +167,11 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
       red[lo + i] = reduce_tree(v, w);
     }
   }
-  transport_->release();
+  group_->release(me);
 
   // Phase 2 (allgather of reduced chunks): every rank copies each chunk from
   // its owner, so all ranks end with byte-identical buffers.
-  transport_->publish(red, bytes);
+  group_->publish(me, red, bytes);
   for (std::int64_t c = 0; c < chunks; ++c) {
     const std::int64_t lo = c * kChunkElems;
     const std::int64_t hi = std::min(n, lo + kChunkElems);
@@ -105,80 +180,21 @@ void TreeCommunicator::allreduce_impl(T* data, std::int64_t n) {
     if (owner == me) {
       std::memcpy(data + lo, red + lo, len);
     } else {
-      const void* src = transport_->peer_window(
-          owner, static_cast<std::size_t>(lo) * sizeof(T), len, scratch_.data());
+      const void* src = group_->read(
+          owner, static_cast<std::size_t>(lo) * sizeof(T), len);
       std::memcpy(data + lo, src, len);
     }
   }
-  transport_->release();
+  group_->release(me);
 }
 
-template <typename T>
-void TreeCommunicator::broadcast_impl(T* data, std::int64_t n, int root) {
-  static obs::Counter& calls = obs::counter("comm.broadcast.calls");
-  static obs::Counter& bytes_moved = obs::counter("comm.broadcast.bytes");
-  static const obs::TraceId t_span = obs::intern_name("comm.broadcast");
-  calls.inc();
-  if (n > 0) bytes_moved.inc(static_cast<std::uint64_t>(n) * sizeof(T));
-  obs::TraceSpan span(t_span);
-  const int w = world_size();
-  if (w == 1 || n <= 0) return;
-  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
-  scratch_.resize(bytes);
-  transport_->publish(data, bytes);
-  if (rank() != root) {
-    const void* src = transport_->peer_window(root, 0, bytes, scratch_.data());
-    std::memcpy(data, src, bytes);
-  }
-  transport_->release();
-}
-
-template <typename T>
-void TreeCommunicator::allgather_impl(const T* in, std::int64_t n, T* out) {
-  static obs::Counter& calls = obs::counter("comm.allgather.calls");
-  static obs::Counter& bytes_moved = obs::counter("comm.allgather.bytes");
-  static const obs::TraceId t_span = obs::intern_name("comm.allgather");
-  calls.inc();
-  if (n > 0) bytes_moved.inc(static_cast<std::uint64_t>(n) * sizeof(T));
-  obs::TraceSpan span(t_span);
-  const int w = world_size();
-  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
-  if (w == 1) {
-    if (n > 0) std::memmove(out, in, bytes);
-    return;
-  }
-  if (n <= 0) return;
-  scratch_.resize(bytes);
-  transport_->publish(in, bytes);
-  for (int r = 0; r < w; ++r) {
-    if (r == rank()) {
-      std::memcpy(out + static_cast<std::size_t>(r) * n, in, bytes);
-    } else {
-      const void* src = transport_->peer_window(r, 0, bytes, scratch_.data());
-      std::memcpy(out + static_cast<std::size_t>(r) * n, src, bytes);
-    }
-  }
-  transport_->release();
-}
-
-void TreeCommunicator::allreduce_sum(float* data, std::int64_t n) {
+void Communicator::allreduce_sum(float* data, std::int64_t n) {
   allreduce_impl(data, n);
 }
-void TreeCommunicator::allreduce_sum(double* data, std::int64_t n) {
+void Communicator::allreduce_sum(double* data, std::int64_t n) {
   allreduce_impl(data, n);
 }
-void TreeCommunicator::broadcast(float* data, std::int64_t n, int root) {
-  broadcast_impl(data, n, root);
-}
-void TreeCommunicator::broadcast(double* data, std::int64_t n, int root) {
-  broadcast_impl(data, n, root);
-}
-void TreeCommunicator::allgather(const float* in, std::int64_t n, float* out) {
-  allgather_impl(in, n, out);
-}
-void TreeCommunicator::allgather(const double* in, std::int64_t n, double* out) {
-  allgather_impl(in, n, out);
-}
+void Communicator::barrier() { group_->barrier(); }
 
 int max_world_size() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
@@ -202,14 +218,14 @@ void run_ranks(int world, const std::function<void(Communicator&)>& fn) {
   }
   InProcessGroup group(world);
   if (world == 1) {
-    TreeCommunicator comm(group.transport(0));
+    Communicator comm(group, 0, 1);
     fn(comm);
     return;
   }
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(world));
   auto body = [&](int r) {
     try {
-      TreeCommunicator comm(group.transport(r));
+      Communicator comm(group, r, world);
       fn(comm);
     } catch (...) {
       errors[static_cast<std::size_t>(r)] = std::current_exception();

@@ -1,8 +1,9 @@
 // Rank collectives for data-parallel search and training.
 //
-// Communicator is the arithmetic layer over comm/transport.h: it owns the
-// chunking and — critically — the reduction order. allreduce_sum computes
-// every output element with a fixed pairwise tree over rank indices
+// Communicator is one rank's handle on an in-process group of rank threads.
+// It owns the chunking and — critically — the reduction order.
+// allreduce_sum computes every output element with a fixed pairwise tree
+// over rank indices
 //
 //   stride = 1, 2, 4, ...:   v[r] += v[r + stride]
 //
@@ -15,17 +16,28 @@
 //     bits. This is the same size-only-chunking discipline the backend
 //     kernels use (backend/parallel.h), lifted one level up.
 //
+// Ranks exchange data through a one-sided window table: each rank publishes
+// a pointer to its buffer, peers read it directly (same address space), and
+// a generation-counted barrier after every publish and before every buffer
+// reuse is the happens-before edge that makes those reads safe. Ranks that
+// publish different lengths (mismatched n is caller misuse) all throw before
+// any of them reads a peer, and no read goes past a peer's published length.
+//
 // World sizes are powers of two up to kMaxWorld, which keeps rank subtrees
 // aligned with the micro-shard tree in comm/sharded.h (see that header for
 // why N-rank gradients then match 1-rank bit for bit).
 //
-// run_ranks() is the in-process entry point: it spawns `world` rank threads
-// (rank 0 runs on the caller's thread) and turns a throwing rank into a
-// world-wide abort instead of a deadlock (peers blocked in a collective
-// unblock with AbortedError; the original exception is rethrown to the
-// caller). Rank kernels share the backend's one core budget
-// (backend/parallel.h), so ranks x kernel threads never oversubscribes the
-// machine.
+// run_ranks() is the only way to get a Communicator: it spawns `world` rank
+// threads (rank 0 runs on the caller's thread) and turns a throwing rank
+// into a world-wide abort instead of a deadlock (the group's barrier is
+// poisoned, so peers blocked in a collective unblock with AbortedError; the
+// original exception is rethrown to the caller). Rank kernels share the
+// backend's one core budget (backend/parallel.h), so ranks x kernel threads
+// never oversubscribes the machine.
+//
+// Telemetry: collectives on a world of two or more ranks record the
+// comm.allreduce.{calls,bytes} counters and a comm.allreduce span; a world
+// of one moves nothing and records nothing.
 //
 // Failpoints: every allreduce evaluates the "comm.allreduce" site, so tests
 // and operators can inject a mid-collective death (see common/failpoint.h).
@@ -33,10 +45,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <stdexcept>
 #include <vector>
-
-#include "comm/transport.h"
 
 namespace adept::comm {
 
@@ -44,51 +54,37 @@ namespace adept::comm {
 // reduction order supports.
 inline constexpr int kMaxWorld = 8;
 
-class Communicator {
- public:
-  virtual ~Communicator() = default;
-  virtual int rank() const = 0;
-  virtual int world_size() const = 0;
-  // In-place elementwise sum across ranks; all ranks end with identical bits.
-  virtual void allreduce_sum(float* data, std::int64_t n) = 0;
-  virtual void allreduce_sum(double* data, std::int64_t n) = 0;
-  // Replicate root's buffer to every rank.
-  virtual void broadcast(float* data, std::int64_t n, int root) = 0;
-  virtual void broadcast(double* data, std::int64_t n, int root) = 0;
-  // Concatenate each rank's n elements into out[world * n], rank-major.
-  virtual void allgather(const float* in, std::int64_t n, float* out) = 0;
-  virtual void allgather(const double* in, std::int64_t n, double* out) = 0;
-  virtual void barrier() = 0;
+// Thrown out of any barrier-shaped call once a peer rank has failed: the
+// collective cannot complete. Derives from std::runtime_error so generic
+// catch sites treat it like any other collective failure.
+struct AbortedError : std::runtime_error {
+  AbortedError() : std::runtime_error("comm: collective aborted by a peer rank") {}
 };
 
-// The chunked-tree implementation over any Transport.
-class TreeCommunicator : public Communicator {
+class InProcessGroup;  // shared state of one world, in communicator.cpp
+
+class Communicator {
  public:
-  explicit TreeCommunicator(std::unique_ptr<Transport> transport);
-
-  int rank() const override { return transport_->rank(); }
-  int world_size() const override { return transport_->world_size(); }
-  void allreduce_sum(float* data, std::int64_t n) override;
-  void allreduce_sum(double* data, std::int64_t n) override;
-  void broadcast(float* data, std::int64_t n, int root) override;
-  void broadcast(double* data, std::int64_t n, int root) override;
-  void allgather(const float* in, std::int64_t n, float* out) override;
-  void allgather(const double* in, std::int64_t n, double* out) override;
-  void barrier() override { transport_->barrier(); }
-
-  Transport& transport() { return *transport_; }
+  int rank() const { return rank_; }
+  int world_size() const { return world_; }
+  // In-place elementwise sum across ranks; all ranks end with identical bits.
+  void allreduce_sum(float* data, std::int64_t n);
+  void allreduce_sum(double* data, std::int64_t n);
+  void barrier();
 
  private:
+  friend void run_ranks(int world,
+                        const std::function<void(Communicator&)>& fn);
+  Communicator(InProcessGroup& group, int rank, int world)
+      : group_(&group), rank_(rank), world_(world) {}
+
   template <typename T>
   void allreduce_impl(T* data, std::int64_t n);
-  template <typename T>
-  void broadcast_impl(T* data, std::int64_t n, int root);
-  template <typename T>
-  void allgather_impl(const T* in, std::int64_t n, T* out);
 
-  std::unique_ptr<Transport> transport_;
+  InProcessGroup* group_;
+  int rank_;
+  int world_;
   std::vector<unsigned char> reduced_;  // owner-reduced chunks, full length
-  std::vector<unsigned char> scratch_;  // staging for copying transports
 };
 
 // Largest world the environment-driven knob may resolve to on this machine:

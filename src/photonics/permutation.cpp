@@ -136,17 +136,6 @@ std::int64_t crossing_count(const Permutation& p) {
   return merge_count(a, tmp, 0, a.size());
 }
 
-std::int64_t crossing_count_naive(const Permutation& p) {
-  const auto& m = p.map();
-  std::int64_t inv = 0;
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    for (std::size_t j = i + 1; j < m.size(); ++j) {
-      if (m[i] > m[j]) ++inv;
-    }
-  }
-  return inv;
-}
-
 std::int64_t SwapSchedule::total_swaps() const {
   std::int64_t n = 0;
   for (const auto& layer : layers) n += static_cast<std::int64_t>(layer.size());

@@ -69,9 +69,6 @@ bool is_valid_permutation(const std::vector<int>& map);
 // number of waveguide crossings needed to realize it (O(k log k) merge sort).
 std::int64_t crossing_count(const Permutation& p);
 
-// Brute-force O(k^2) inversion count; used to cross-check in tests.
-std::int64_t crossing_count_naive(const Permutation& p);
-
 // A realizable routing: layers of non-overlapping adjacent swaps
 // (odd-even transposition schedule). The total number of swaps equals
 // crossing_count(p); the layer structure gives the routing depth.

@@ -22,6 +22,7 @@
 #include "core/search.h"
 #include "data/synthetic.h"
 #include "nn/train.h"
+#include "obs/metrics.h"
 #include "photonics/builders.h"
 
 namespace {
@@ -109,32 +110,57 @@ TEST(Comm, AllreduceBitsIndependentOfThreadCount) {
   }
 }
 
-TEST(Comm, BroadcastReplicatesRoot) {
-  comm::run_ranks(4, [&](comm::Communicator& c) {
-    std::vector<float> v(257, static_cast<float>(c.rank()));
-    c.broadcast(v.data(), static_cast<std::int64_t>(v.size()), /*root=*/2);
-    for (float x : v) ASSERT_EQ(x, 2.0f);
-    std::vector<double> d(3, static_cast<double>(c.rank()) + 0.25);
-    c.broadcast(d.data(), 3, /*root=*/0);
-    for (double x : d) ASSERT_EQ(x, 0.25);
-  });
+TEST(Comm, WorldOfOneRecordsNoCollective) {
+  // A world of one moves no bytes, so it must not show up as collective
+  // traffic in the counters (traced one-rank runs would otherwise report
+  // allreduce calls per step with nothing behind them).
+  auto& calls = adept::obs::counter("comm.allreduce.calls");
+  auto& bytes = adept::obs::counter("comm.allreduce.bytes");
+  auto allreduce = [](comm::Communicator& c) {
+    std::vector<float> v(100, 1.0f);
+    c.allreduce_sum(v.data(), static_cast<std::int64_t>(v.size()));
+    double d = 2.0;
+    c.allreduce_sum(&d, 1);
+  };
+  const std::uint64_t calls0 = calls.value();
+  const std::uint64_t bytes0 = bytes.value();
+  comm::run_ranks(1, allreduce);
+  EXPECT_EQ(calls.value(), calls0);
+  EXPECT_EQ(bytes.value(), bytes0);
+  // Two ranks x two calls, each rank counting its own payload.
+  comm::run_ranks(2, allreduce);
+  EXPECT_EQ(calls.value(), calls0 + 4);
+  EXPECT_EQ(bytes.value(), bytes0 + 2 * (100 * sizeof(float) + sizeof(double)));
 }
 
-TEST(Comm, AllgatherIsRankMajor) {
-  const std::int64_t n = 5;
-  comm::run_ranks(4, [&](comm::Communicator& c) {
-    std::vector<float> in(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      in[static_cast<std::size_t>(i)] = rank_value(c.rank(), i);
+TEST(Comm, MismatchedLengthsThrowInsteadOfReadingPastAPeer) {
+  // Ranks disagreeing on n is caller misuse. The collective must refuse
+  // rather than read past a peer's published buffer, and no rank may free a
+  // buffer a peer is still reading (the TSan leg runs this test): every
+  // rank sees the mismatch right after publishing and throws before it
+  // reads a peer. run_ranks surfaces that error, not the AbortedError
+  // cascade, instead of hanging. The longer buffer sits on either rank.
+  for (int longer : {0, 1}) {
+    SCOPED_TRACE(longer);
+    try {
+      comm::run_ranks(2, [&](comm::Communicator& c) {
+        const std::int64_t n = (c.rank() == longer) ? 5000 : 100;
+        std::vector<float> v(static_cast<std::size_t>(n), 1.0f);
+        c.allreduce_sum(v.data(), n);
+      });
+      ADD_FAILURE() << "mismatched lengths did not throw";
+    } catch (const comm::AbortedError&) {
+      ADD_FAILURE() << "got the abort cascade instead of the root cause";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("published"), std::string::npos)
+          << e.what();
     }
-    std::vector<float> out(static_cast<std::size_t>(4 * n), -1.0f);
-    c.allgather(in.data(), n, out.data());
-    for (int r = 0; r < 4; ++r) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[static_cast<std::size_t>(r * n + i)], rank_value(r, i));
-      }
-    }
-    c.barrier();
+  }
+  // The failed worlds leave no residue: a fresh world reduces correctly.
+  comm::run_ranks(2, [](comm::Communicator& c) {
+    float x = static_cast<float>(c.rank() + 1);
+    c.allreduce_sum(&x, 1);
+    EXPECT_EQ(x, 3.0f);
   });
 }
 

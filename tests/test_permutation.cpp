@@ -9,6 +9,18 @@ namespace ph = adept::photonics;
 using adept::Rng;
 using ph::Permutation;
 
+// Brute-force O(k^2) inversion count: the oracle for crossing_count.
+std::int64_t crossing_count_naive(const Permutation& p) {
+  const auto& m = p.map();
+  std::int64_t inv = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    for (std::size_t j = i + 1; j < m.size(); ++j) {
+      if (m[i] > m[j]) ++inv;
+    }
+  }
+  return inv;
+}
+
 TEST(Permutation, IdentityAndReversal) {
   const auto id = Permutation::identity(5);
   EXPECT_TRUE(id.is_identity());
@@ -82,7 +94,7 @@ TEST_P(CrossingCountTest, MergeSortMatchesNaive) {
   const auto [k, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
   const auto p = Permutation::random(k, rng);
-  EXPECT_EQ(ph::crossing_count(p), ph::crossing_count_naive(p));
+  EXPECT_EQ(ph::crossing_count(p), crossing_count_naive(p));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CrossingCountTest,
