@@ -327,33 +327,6 @@ adept::bench::JsonRecord cgemm_record(std::int64_t n) {
   return make_record("cgemm_f32", static_cast<double>(n), flops, t_naive, t);
 }
 
-adept::bench::JsonRecord gemm_batched_record() {
-  // Trainer-shaped stack: 24 mini-batches of [16, 256] against a shared
-  // [256, 10] classifier head.
-  const std::int64_t batch = 24, m = 16, k = 256, n = 10;
-  adept::Rng rng(6);
-  std::vector<float> a(static_cast<std::size_t>(batch * m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
-  std::vector<float> c(static_cast<std::size_t>(batch * m * n));
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-  const double flops = 2.0 * static_cast<double>(batch) * m * k * n;
-  // Baseline: one naive 2-D matmul dispatch per mini-batch (the pre-port
-  // trainer pattern).
-  const double t_naive = adept::bench::time_best([&] {
-    for (std::int64_t bi = 0; bi < batch; ++bi) {
-      naive_matmul(a.data() + bi * m * k, b.data(), c.data() + bi * m * n, m,
-                   k, n);
-    }
-  });
-  const auto t = time_backend([&] {
-    be::gemm_batched(batch, m, n, k, a.data(), m * k, k, be::Trans::N,
-                     b.data(), n, 0.0f, c.data(), m * n, n);
-  });
-  return make_record("gemm_f32_batched", static_cast<double>(batch), flops,
-                     t_naive, t);
-}
-
 // Acceptance micro-bench: forward+backward through a B-block complex block
 // chain at K=32 — the tile_unitary hot loop. Baseline is the seed's
 // composition (phase_column + 4-real-gemm cmatmul + dense P matmuls +
@@ -703,7 +676,6 @@ int run_json_report(const std::string& path) {
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_record(n));
   for (std::int64_t n : {64, 128, 256}) report.add(gemm_bt_record(n));
   for (std::int64_t n : {16, 32, 64}) report.add(cgemm_record(n));
-  report.add(gemm_batched_record());
   report.add(cgemm_batched_record());
   report.add(cchain_record(32, 4));
   report.add(weight_expr_record());

@@ -309,33 +309,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor bmm(const Tensor& a, const Tensor& b) {
-  check(a.ndim() == 3 && b.ndim() == 2, "bmm: expects [B,N,K] x [K,M]");
-  const std::int64_t bt = a.dim(0), n = a.dim(1), k = a.dim(2), m = b.dim(1);
-  check(b.dim(0) == k, "bmm: inner dims mismatch");
-  std::vector<float> out(static_cast<std::size_t>(bt * n * m));
-  be::gemm_batched(bt, n, m, k, a.data().data(), n * k, k, be::Trans::N,
-                   b.data().data(), m, 0.0f, out.data(), n * m, m);
-  return make_op(std::move(out), {bt, n, m}, {a, b},
-                 [a, b, bt, n, k, m](TensorImpl& o) {
-                   if (a.requires_grad()) {
-                     // dA[i] += dO[i] @ B^T, all batches through one call.
-                     auto& ga = const_cast<Tensor&>(a).grad();
-                     be::gemm_batched(bt, n, k, m, o.grad.data(), n * m, m,
-                                      be::Trans::T, b.data().data(), m, 1.0f,
-                                      ga.data(), n * k, k);
-                   }
-                   if (b.requires_grad()) {
-                     // dB += sum_i A[i]^T dO[i] == flatten(A)^T @ flatten(dO):
-                     // contiguous batches collapse into one [B*N,K]^T gemm.
-                     auto& gb = const_cast<Tensor&>(b).grad();
-                     be::gemm(be::Trans::T, be::Trans::N, k, m, bt * n, 1.0f,
-                              a.data().data(), k, o.grad.data(), m, 1.0f,
-                              gb.data(), m);
-                   }
-                 });
-}
-
 Tensor transpose(const Tensor& a) {
   check(a.ndim() == 2, "transpose: expects 2-D");
   const std::int64_t n = a.dim(0), m = a.dim(1);

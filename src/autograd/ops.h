@@ -48,10 +48,6 @@ Tensor ste_replace(const Tensor& a, std::vector<float> forward_values);
 
 // ---- matrix ops -------------------------------------------------------
 Tensor matmul(const Tensor& a, const Tensor& b);      // [N,K]x[K,M] -> [N,M]
-// Batched matmul with a shared right operand: [B,N,K]x[K,M] -> [B,N,M].
-// One tape node for the whole stack; dB reduces over the batch in a single
-// flattened gemm, dA runs through the batched kernel.
-Tensor bmm(const Tensor& a, const Tensor& b);
 Tensor transpose(const Tensor& a);                    // 2-D only
 Tensor reshape(const Tensor& a, std::vector<std::int64_t> shape);
 // Embed a vector [K] (or [K,1]) as a diagonal matrix [K,K].

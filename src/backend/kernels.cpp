@@ -642,62 +642,6 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
   }
 }
 
-void gemm_batched(std::int64_t batch, std::int64_t m, std::int64_t n,
-                  std::int64_t k, const float* a, std::int64_t stride_a,
-                  std::int64_t lda, Trans tb, const float* b, std::int64_t ldb,
-                  float beta, float* c, std::int64_t stride_c,
-                  std::int64_t ldc) {
-  if (batch <= 0 || m <= 0 || n <= 0) return;
-  if (const KernelTable* t = active_kernels(); t && k > 0) {
-    t->gemm_batched(batch, m, n, k, a, stride_a, lda, tb, b, ldb, beta, c,
-                    stride_c, ldc);
-    return;
-  }
-  const std::int64_t rows = batch * m;
-  if (k <= 0) {
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        scale_row_beta(beta, n, c + (r / m) * stride_c + (r % m) * ldc);
-      }
-    });
-    return;
-  }
-  // Same k-panel/row-chunk structure as gemm_impl, but the row space spans
-  // all batches so B's panels are packed once and tiny per-sample products
-  // still fill whole chunks.
-  ScratchArena::Scope scratch;
-  float* bpack = tb == Trans::T
-                     ? scratch.alloc<float>(std::min(kKBlock, k) * n)
-                     : nullptr;
-  for (std::int64_t k0 = 0; k0 < k; k0 += kKBlock) {
-    const std::int64_t kc = std::min(kKBlock, k - k0);
-    const float* bpanel;
-    std::int64_t bstride;
-    if (tb == Trans::N) {
-      bpanel = b + k0 * ldb;
-      bstride = ldb;
-    } else {
-      pack_bt_panel(b, ldb, k0, kc, n, bpack);
-      bpanel = bpack;
-      bstride = n;
-    }
-    parallel_for(rows, kRowBlock, [&](std::int64_t r0, std::int64_t r1) {
-      for (std::int64_t r = r0; r < r1; ++r) {
-        const std::int64_t bi = r / m, i = r % m;
-        const float* arow = a + bi * stride_a + i * lda + k0;
-        float* crow = c + bi * stride_c + i * ldc;
-        if (k0 == 0) scale_row_beta(beta, n, crow);
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = bpanel + kk * bstride;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    });
-  }
-}
-
 void cmul_planar(std::size_t n, const float* ar, const float* ai,
                  const float* br, const float* bi, float* outr, float* outi) {
   if (const KernelTable* t = active_kernels()) {

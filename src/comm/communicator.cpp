@@ -126,6 +126,7 @@ class InProcessGroup {
 template <typename T>
 void Communicator::allreduce_impl(T* data, std::int64_t n) {
   failpoint::maybe_fail("comm.allreduce");
+  if (n < 0) throw std::invalid_argument("comm: allreduce length is negative");
   const int w = world_;
   if (w == 1) return;  // nothing moves, so nothing is recorded
   // Collective telemetry, every rank: one span per call (each rank's
@@ -136,9 +137,11 @@ void Communicator::allreduce_impl(T* data, std::int64_t n) {
   static obs::Counter& bytes_moved = obs::counter("comm.allreduce.bytes");
   static const obs::TraceId t_span = obs::intern_name("comm.allreduce");
   calls.inc();
-  if (n > 0) bytes_moved.inc(static_cast<std::uint64_t>(n) * sizeof(T));
+  bytes_moved.inc(static_cast<std::uint64_t>(n) * sizeof(T));
   obs::TraceSpan span(t_span);
-  if (n <= 0) return;
+  // A zero-length call publishes like any other, so a peer that passed a
+  // different length meets the length check instead of a barrier that never
+  // fills.
   const int me = rank_;
   const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(T);
   reduced_.resize(bytes);

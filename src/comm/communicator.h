@@ -22,6 +22,9 @@
 // reuse is the happens-before edge that makes those reads safe. Ranks that
 // publish different lengths (mismatched n is caller misuse) all throw before
 // any of them reads a peer, and no read goes past a peer's published length.
+// A zero-length call publishes too, so it meets that check; a negative n
+// throws std::invalid_argument, which aborts the world like any other
+// throwing rank.
 //
 // World sizes are powers of two up to kMaxWorld, which keeps rank subtrees
 // aligned with the micro-shard tree in comm/sharded.h (see that header for

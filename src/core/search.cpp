@@ -79,20 +79,6 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
   optim::Adam arch_opt(mesh_->arch_params(), config_.lr_arch, 0.9, 0.999, 1e-8,
                        config_.weight_decay_arch);
 
-  // The cross-rank gradient reduction rides Optimizer::step's pre-step hook:
-  // the step body points these slots at the current step's reducer/penalty
-  // stash, and step() reduces right before apply_step reads the grads.
-  comm::ShardedGradReducer* cur_reducer = nullptr;
-  std::vector<std::vector<float>>* cur_penalty = nullptr;
-  std::vector<double> reduced_scalars;
-  auto attach_hook = [&](optim::Optimizer& opt) {
-    opt.set_pre_step_hook([&, comm] {
-      reduced_scalars = cur_reducer->finish(*comm, cur_penalty);
-    });
-  };
-  attach_hook(*weight_opt);
-  attach_hook(arch_opt);
-
   optim::CosineLr lr_schedule(config_.lr_weights, total_steps);
   optim::ExponentialDecay tau_schedule(config_.tau_start, config_.tau_end, total_steps);
 
@@ -114,7 +100,6 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
       weight_opt = std::make_unique<optim::Adam>(
           weight_params(), lr_schedule.at(step), 0.9, 0.999, 1e-8,
           config_.weight_decay_weights);
-      attach_hook(*weight_opt);
     }
 
     const bool warmup = epoch < config_.warmup_epochs;
@@ -183,11 +168,11 @@ SearchResult AdeptSearcher::run(comm::Communicator* comm) {
     result.trace.expected_footprint.push_back(
         mesh_->expected_footprint(config_.footprint.pdk));
 
-    cur_reducer = &reducer;
-    cur_penalty = &penalty_grads;
-    opt.step();  // pre-step hook: allreduce task grads, add penalty grads
-    cur_reducer = nullptr;
-    cur_penalty = nullptr;
+    // Allreduce the task grads and add the penalty grads right before the
+    // update rule reads them.
+    const std::vector<double> reduced_scalars =
+        reducer.finish(*comm, &penalty_grads);
+    opt.step();
     if (!arch_step && !mesh_->permutations_frozen()) alm.update(perms);
 
     if (stat_cols > 0) {

@@ -127,7 +127,7 @@ class AdeptSearcher {
   // Runs the micro-shard search step on the ranks of `comm`; each rank
   // must own its own AdeptSearcher + task replica built from the same
   // config/seed (see run_search_data_parallel); gradients are allreduced
-  // through the stepped optimizer's pre-step hook. comm == nullptr runs the
+  // right before the stepped optimizer's update. comm == nullptr runs the
   // same step on a world of 1. Bit-identical results at any world size in
   // {1, 2, 4, 8}. Throws std::invalid_argument if the task does not
   // support sharding.

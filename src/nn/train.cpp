@@ -117,11 +117,6 @@ TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train
                     config.weight_decay);
     optim::CosineLr schedule(config.lr, total_steps);
 
-    comm::ShardedGradReducer* cur_reducer = nullptr;
-    std::vector<double> step_scalars;
-    opt.set_pre_step_hook(
-        [&] { step_scalars = cur_reducer->finish(c); });
-
     // Per-epoch telemetry: histogram/counter/gauges on rank 0 only so the
     // recorded counts do not depend on the world size; spans on every rank
     // so per-rank skew shows up in the trace.
@@ -181,9 +176,9 @@ TrainStats train_classifier(OnnModel& model, const data::SyntheticDataset& train
                                         static_cast<std::size_t>(stat_cols));
           }
         }
-        cur_reducer = &reducer;
-        opt.step();  // pre-step hook allreduces grads + loss across ranks
-        cur_reducer = nullptr;
+        // Allreduce grads + loss across ranks, then update.
+        const std::vector<double> step_scalars = reducer.finish(c);
+        opt.step();
         if (stat_cols > 0) {
           // Rows are zero except at their owner, so the sum IS the gather;
           // every rank replays the identical bits in shard order.

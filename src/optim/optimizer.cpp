@@ -14,7 +14,6 @@ void Optimizer::zero_grad() {
 }
 
 void Optimizer::step() {
-  if (pre_step_hook_) pre_step_hook_();
   apply_step();
   adept::bump_param_version();
 }

@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "autograd/tensor.h"
@@ -20,18 +18,9 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   void zero_grad();
-  // Runs the pre-step hook (if set), applies the update rule, then bumps
-  // adept::param_version() so materialized eval-weight caches know the
-  // parameters moved.
+  // Applies the update rule, then bumps adept::param_version() so
+  // materialized eval-weight caches know the parameters moved.
   void step();
-
-  // Hook invoked by step() before the update rule reads the gradients. The
-  // data-parallel paths (src/comm) install the cross-rank gradient allreduce
-  // here, so every caller's existing zero_grad/backward/step sequence picks
-  // up the reduction without restructuring. Empty function = no hook.
-  void set_pre_step_hook(std::function<void()> hook) {
-    pre_step_hook_ = std::move(hook);
-  }
 
   double lr() const { return lr_; }
   void set_lr(double lr) { lr_ = lr; }
@@ -43,9 +32,6 @@ class Optimizer {
 
   std::vector<ag::Tensor> params_;
   double lr_;
-
- private:
-  std::function<void()> pre_step_hook_;
 };
 
 // SGD with optional momentum and decoupled weight decay.

@@ -34,8 +34,10 @@ constexpr char kMagic[8] = {'A', 'D', 'E', 'P', 'T', 'C', 'K', 'P'};
 enum class Tag : std::uint8_t {
   onn_linear = 1,
   onn_conv2d = 2,
-  linear = 3,
-  conv2d = 4,
+  // 3 and 4 held the retired electronic Linear/Conv2d records. They are
+  // reserved and never reused; a record carrying one is an unknown tag.
+  retired_linear = 3,
+  retired_conv2d = 4,
   batchnorm2d = 5,
   relu = 6,
   maxpool2d = 7,
@@ -168,23 +170,6 @@ void serialize_module(std::string& out, nn::Module& m, TopologyTable& table,
     binio::put_u8(out, c->has_bias() ? 1 : 0);
     put_ptc_weight_config(out, c->weight(), table, where + " (ONNConv2d)");
     put_ptc_weight_params(out, c->weight());
-    if (c->has_bias()) put_f32_array(out, c->bias().data());
-  } else if (auto* l = dynamic_cast<nn::Linear*>(&m)) {
-    binio::put_u8(out, static_cast<std::uint8_t>(Tag::linear));
-    binio::put_i64(out, l->in_features());
-    binio::put_i64(out, l->out_features());
-    binio::put_u8(out, l->has_bias() ? 1 : 0);
-    put_f32_array(out, l->weight().data());
-    if (l->has_bias()) put_f32_array(out, l->bias().data());
-  } else if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-    binio::put_u8(out, static_cast<std::uint8_t>(Tag::conv2d));
-    binio::put_i64(out, c->in_channels());
-    binio::put_i64(out, c->out_channels());
-    binio::put_i64(out, c->kernel());
-    binio::put_i64(out, c->stride());
-    binio::put_i64(out, c->pad());
-    binio::put_u8(out, c->has_bias() ? 1 : 0);
-    put_f32_array(out, c->weight().data());
     if (c->has_bias()) put_f32_array(out, c->bias().data());
   } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
     binio::put_u8(out, static_cast<std::uint8_t>(Tag::batchnorm2d));
@@ -417,32 +402,6 @@ LoadedCheckpoint decode_checkpoint(const std::string& bytes) {
         if (bias) load_tensor(r, c->bias(), where + " bias");
         result.model.net->add(c);
         result.model.onn_layers.push_back(c.get());
-        break;
-      }
-      case Tag::linear: {
-        const std::int64_t in = read_dim(r, where + " in_features", 1, kMaxFeatureDim);
-        const std::int64_t out = read_dim(r, where + " out_features", 1, kMaxFeatureDim);
-        (void)checked_mul(in, out, where + " Linear weight");
-        const bool bias = r.u8((where + " bias flag").c_str()) != 0;
-        auto l = std::make_shared<nn::Linear>(in, out, rng, bias);
-        load_tensor(r, l->weight(), where + " weight");
-        if (bias) load_tensor(r, l->bias(), where + " bias");
-        result.model.net->add(l);
-        break;
-      }
-      case Tag::conv2d: {
-        const std::int64_t in_c = read_dim(r, where + " in_channels", 1, kMaxFeatureDim);
-        const std::int64_t out_c = read_dim(r, where + " out_channels", 1, kMaxFeatureDim);
-        const std::int64_t k = read_dim(r, where + " kernel", 1, kMaxSpatialDim);
-        const std::int64_t stride = read_dim(r, where + " stride", 1, kMaxSpatialDim);
-        const std::int64_t pad = read_dim(r, where + " pad", 0, kMaxSpatialDim);
-        (void)checked_mul(checked_mul(in_c, k * k, where + " Conv2d fan-in"), out_c,
-                          where + " Conv2d weight");
-        const bool bias = r.u8((where + " bias flag").c_str()) != 0;
-        auto c = std::make_shared<nn::Conv2d>(in_c, out_c, k, rng, stride, pad, bias);
-        load_tensor(r, c->weight(), where + " weight");
-        if (bias) load_tensor(r, c->bias(), where + " bias");
-        result.model.net->add(c);
         break;
       }
       case Tag::batchnorm2d: {

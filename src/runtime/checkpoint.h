@@ -20,6 +20,11 @@
 //   payload  sections: pdk? | topologies | modules
 //   trailer  CRC-32 of the payload (u32, polynomial 0xEDB88320)
 //
+// Each module record opens with a u8 tag: 1 ONNLinear, 2 ONNConv2d,
+// 5 BatchNorm2d, 6 ReLU, 7 MaxPool2d, 8 AdaptiveAvgPool2d, 9 Flatten. Tags 3
+// and 4 held the retired electronic Linear/Conv2d; they are never reused and
+// load rejects them as unknown tags.
+//
 // Errors are actionable: bad magic, version skew, truncation (with the byte
 // offset and field name), CRC mismatch (stored vs computed), and
 // architecture mismatches all throw std::runtime_error explaining what was

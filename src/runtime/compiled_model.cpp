@@ -170,36 +170,6 @@ CompiledModel CompiledModel::freeze(nn::OnnModel& model,
       s.weight = transposed(w.data(), s.out_c, s.c * s.k * s.k);
       if (c->has_bias()) s.bias = c->bias().data();
       cur = {s.out_c, s.oh, s.ow};
-    } else if (auto* l = dynamic_cast<nn::Linear*>(&m)) {
-      expect_features("Linear", l->in_features());
-      s.kind = PlanStep::Kind::linear;
-      s.in_feat = l->in_features();
-      s.out_feat = l->out_features();
-      s.weight = l->weight().data();  // already [in, out]
-      if (l->has_bias()) s.bias = l->bias().data();
-      cur = {s.out_feat};
-    } else if (auto* c = dynamic_cast<nn::Conv2d*>(&m)) {
-      expect_chw("Conv2d");
-      if (cur[0] != c->in_channels()) {
-        fail("Conv2d expects " + std::to_string(c->in_channels()) +
-             " input channels, the plan carries " + dims_str(cur));
-      }
-      s.kind = PlanStep::Kind::conv;
-      s.c = cur[0];
-      s.h = cur[1];
-      s.w = cur[2];
-      s.k = c->kernel();
-      s.stride = c->stride();
-      s.pad = c->pad();
-      s.out_c = c->out_channels();
-      s.oh = (s.h + 2 * s.pad - s.k) / s.stride + 1;
-      s.ow = (s.w + 2 * s.pad - s.k) / s.stride + 1;
-      if (s.oh <= 0 || s.ow <= 0) {
-        fail("Conv2d output is empty for input " + dims_str(cur));
-      }
-      s.weight = c->weight().data();  // already [fan_in, out_c]
-      if (c->has_bias()) s.bias = c->bias().data();
-      cur = {s.out_c, s.oh, s.ow};
     } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
       expect_chw("BatchNorm2d");
       if (cur[0] != bn->channels()) {

@@ -164,6 +164,48 @@ TEST(Comm, MismatchedLengthsThrowInsteadOfReadingPastAPeer) {
   });
 }
 
+TEST(Comm, ZeroLengthOnOneRankThrowsOnEveryRank) {
+  // A zero-length call still publishes, so a peer that passed n > 0 meets
+  // the length check instead of waiting in a barrier the empty rank never
+  // reaches. Either rank may be the empty one.
+  for (int empty : {0, 1}) {
+    SCOPED_TRACE(empty);
+    try {
+      comm::run_ranks(2, [&](comm::Communicator& c) {
+        std::vector<float> v(100, 1.0f);
+        c.allreduce_sum(v.data(), c.rank() == empty ? 0 : 100);
+      });
+      ADD_FAILURE() << "a zero length on one rank did not throw";
+    } catch (const comm::AbortedError&) {
+      ADD_FAILURE() << "got the abort cascade instead of the root cause";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("published"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Zero length on every rank is a valid no-op that leaves the data alone.
+  comm::run_ranks(2, [](comm::Communicator& c) {
+    std::vector<float> v = {static_cast<float>(c.rank()) + 0.5f, -1.0f};
+    const std::vector<float> before = v;
+    c.allreduce_sum(v.data(), 0);
+    EXPECT_EQ(v, before);
+  });
+  // A negative length is rejected on the rank that passed it; its peer
+  // unblocks with the abort and run_ranks rethrows the root cause.
+  EXPECT_THROW(comm::run_ranks(2,
+                               [](comm::Communicator& c) {
+                                 float x = 1.0f;
+                                 c.allreduce_sum(&x, c.rank() == 0 ? -1 : 1);
+                               }),
+               std::invalid_argument);
+  // The failed worlds leave no residue: a fresh world reduces correctly.
+  comm::run_ranks(2, [](comm::Communicator& c) {
+    float x = static_cast<float>(c.rank() + 1);
+    c.allreduce_sum(&x, 1);
+    EXPECT_EQ(x, 3.0f);
+  });
+}
+
 TEST(Comm, ResolveRanksClampingSemantics) {
   // Explicit requests: clamp to [1, kMaxWorld], then round down to pow2
   // (explicit counts may oversubscribe small machines — ranks timeslice).

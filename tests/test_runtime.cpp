@@ -282,6 +282,28 @@ TEST(Checkpoint, ImplausibleCountsFailActionably) {
   expect_decode_error(bad, "implausible topology count");
 }
 
+TEST(Checkpoint, RetiredModuleTagsAreUnknown) {
+  // Tags 3 and 4 once held electronic Linear/Conv2d records. They stay
+  // reserved: a validly sealed file carrying either is an unknown tag, not
+  // a record some other layer's decoder tries to read.
+  nn::OnnModel model;
+  model.net = std::make_shared<nn::Sequential>();
+  model.net->add(std::make_shared<nn::Flatten>());
+  const std::string good = rt::encode_checkpoint(model);
+  ASSERT_NO_THROW(rt::decode_checkpoint(good));
+  const std::size_t payload_begin = 8 + 4 + 8;  // magic + version + size
+  std::string payload = good.substr(payload_begin, good.size() - payload_begin - 4);
+  // u8 pdk flag, u32 topology count (0), u32 module count (1), u8 tag.
+  ASSERT_EQ(payload.size(), 10u);
+  ASSERT_EQ(payload.back(), '\x09');  // Flatten
+  for (const char tag : {'\x03', '\x04'}) {
+    payload.back() = tag;
+    std::string bad = good.substr(0, payload_begin) + payload;
+    adept::binio::put_u32(bad, rt::crc32(payload));  // re-seal the CRC
+    expect_decode_error(bad, "unknown module tag " + std::to_string(tag));
+  }
+}
+
 TEST(Checkpoint, RejectsLiveSupermeshBindings) {
   core::SuperMeshConfig mc;
   mc.k = 4;

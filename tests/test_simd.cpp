@@ -209,27 +209,6 @@ TEST(SimdDispatch, CgemmBatchedMatchesPerItemBitExactPerLevel) {
   }
 }
 
-TEST(SimdDispatch, GemmBatchedMatchesPerItemBitExactPerLevel) {
-  for (SimdLevel level : be::available_simd_levels()) {
-    SimdScope scope(level);
-    const std::int64_t batch = 4, m = 7, n = 19, k = 11;
-    Rng rng(29);
-    const auto a = random_vec(static_cast<std::size_t>(batch * m * k), rng);
-    const auto b = random_vec(static_cast<std::size_t>(k * n), rng);
-    std::vector<float> c1(static_cast<std::size_t>(batch * m * n));
-    std::vector<float> c2(c1.size());
-    be::gemm_batched(batch, m, n, k, a.data(), m * k, k, Trans::N, b.data(), n,
-                     0.0f, c1.data(), m * n, n);
-    for (std::int64_t t = 0; t < batch; ++t) {
-      be::gemm(Trans::N, Trans::N, m, n, k, 1.0f, a.data() + t * m * k, k,
-               b.data(), n, 0.0f, c2.data() + t * m * n, n);
-    }
-    for (std::size_t i = 0; i < c1.size(); ++i) {
-      ASSERT_EQ(c1[i], c2[i]) << be::simd_level_name(level) << " elem " << i;
-    }
-  }
-}
-
 // ---- rcgemm parity (dense and sparse A, with and without phases) -----------
 
 TEST(SimdDispatch, RcgemmParityAcrossLevels) {
