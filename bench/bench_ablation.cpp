@@ -173,7 +173,7 @@ int main() {
       for (int b = 0; b < 4; ++b) {
         std::vector<float> phi(static_cast<std::size_t>(k));
         for (auto& p : phi) p = static_cast<float>(trial_rng.uniform(-3.14, 3.14));
-        phases.push_back(ag::make_tensor(std::move(phi), {static_cast<std::int64_t>(k)}, false));
+        phases.push_back(ag::make_tensor(std::move(phi), {1, static_cast<std::int64_t>(k)}, false));
       }
       ag::NoGradGuard guard;
       ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
@@ -181,7 +181,8 @@ int main() {
       ph::CMat cm(k, k);
       for (int i = 0; i < k; ++i) {
         for (int j = 0; j < k; ++j) {
-          cm.at(i, j) = ph::cplx(u.re.at(i, j), u.im.at(i, j));
+          const std::size_t ij = static_cast<std::size_t>(i * k + j);
+          cm.at(i, j) = ph::cplx(u.re.data()[ij], u.im.data()[ij]);
         }
       }
       err += cm.unitarity_error();

@@ -22,7 +22,6 @@
 #include "core/reparam.h"
 #include "core/spl.h"
 #include "core/supermesh.h"
-#include "nn/onn_layers.h"
 #include "optim/optimizer.h"
 #include "photonics/builders.h"
 #include "photonics/linalg.h"
@@ -30,7 +29,6 @@
 namespace ag = adept::ag;
 namespace be = adept::backend;
 namespace core = adept::core;
-namespace nn = adept::nn;
 namespace ph = adept::photonics;
 
 namespace {
@@ -112,10 +110,10 @@ BENCHMARK(BM_BackendGemm)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 void BM_ComplexMatmul(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   adept::Rng rng(2);
-  ag::CxTensor a = {random_tensor({n, n}, rng), random_tensor({n, n}, rng)};
-  ag::CxTensor b = {random_tensor({n, n}, rng), random_tensor({n, n}, rng)};
+  ag::CxTensor a = {random_tensor({1, n, n}, rng), random_tensor({1, n, n}, rng)};
+  ag::CxTensor b = {random_tensor({1, n, n}, rng), random_tensor({1, n, n}, rng)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ag::cmatmul(a, b).re.data().data());
+    benchmark::DoNotOptimize(ag::bcmatmul(a, b).re.data().data());
   }
   state.SetItemsProcessed(state.iterations() * 4 * n * n * n);
 }
@@ -209,7 +207,7 @@ void BM_SuperMeshTrainStep(benchmark::State& state) {
   config.always_on_per_unitary = 1;
   core::SuperMesh mesh(config, rng);
   std::vector<ag::Tensor> phases;
-  for (int b = 0; b < 4; ++b) phases.push_back(random_tensor({k}, rng, true));
+  for (int b = 0; b < 4; ++b) phases.push_back(random_tensor({1, k}, rng, true));
   auto params = mesh.topology_weights();
   for (auto& p : phases) params.push_back(p);
   adept::optim::Adam opt(params, 1e-3);
@@ -293,8 +291,8 @@ adept::bench::JsonRecord gemm_bt_record(std::int64_t n) {
   return make_record("gemm_f32_bt", static_cast<double>(n), flops, t_naive, t);
 }
 
-// The seed's cmatmul lowering: four naive real matmuls + two elementwise
-// combines into freshly allocated planes.
+// The seed's complex matmul lowering: four naive real matmuls + two
+// elementwise combines into freshly allocated planes.
 void naive_cmatmul(const float* ar, const float* ai, const float* br,
                    const float* bi, float* cr, float* ci, std::int64_t n,
                    std::vector<float>& t1, std::vector<float>& t2) {
@@ -328,10 +326,11 @@ adept::bench::JsonRecord cgemm_record(std::int64_t n) {
 }
 
 // Acceptance micro-bench: forward+backward through a B-block complex block
-// chain at K=32 — the tile_unitary hot loop. Baseline is the seed's
-// composition (phase_column + 4-real-gemm cmatmul + dense P matmuls +
-// cscale/cadd mixing); backend is the fused block_transfer/cmix/cmatmul
-// path. `*_gflops` fields report chain iterations per second.
+// chain at K=32 — the tile_unitary hot loop for one tile. Baseline is the
+// seed's composition from real ops (diagonal phase column + 4-real-gemm
+// complex matmul + dense P matmuls + scaled-identity mixing); backend is the
+// fused bblock_transfer/bcmix_identity/bcmatmul path on a [1,K] phase stack.
+// `*_gflops` fields report chain iterations per second.
 adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
   adept::Rng rng(7);
   std::vector<ag::Tensor> p, phi, skip, sel;
@@ -339,7 +338,7 @@ adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
   for (int b = 0; b < blocks; ++b) {
     p.push_back(random_tensor({k, k}, rng, true));
     t.push_back({random_tensor({k, k}, rng, true), random_tensor({k, k}, rng, true)});
-    phi.push_back(random_tensor({k}, rng, true));
+    phi.push_back(random_tensor({1, k}, rng, true));
     skip.push_back(ag::Tensor::scalar(0.3f, true));
     sel.push_back(ag::Tensor::scalar(0.7f, true));
   }
@@ -356,7 +355,7 @@ adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
   auto head = [](const ag::CxTensor& acc) {
     return ag::add(ag::sum(ag::square(acc.re)), ag::sum(ag::square(acc.im)));
   };
-  // The seed's cmatmul: four real matmuls + sub/add combines.
+  // The seed's complex matmul: four real matmuls + sub/add combines.
   auto cmatmul_4gemm = [](const ag::CxTensor& a, const ag::CxTensor& b) {
     ag::Tensor re = ag::sub(ag::matmul(a.re, b.re), ag::matmul(a.im, b.im));
     ag::Tensor im = ag::add(ag::matmul(a.re, b.im), ag::matmul(a.im, b.re));
@@ -366,13 +365,16 @@ adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
     ag::CxTensor acc = ag::CxTensor::eye(k);
     ag::CxTensor eye = ag::CxTensor::eye(k);
     for (int b = 0; b < blocks; ++b) {
-      ag::CxTensor r = ag::phase_column(phi[static_cast<std::size_t>(b)]);
-      ag::CxTensor tr = cmatmul_4gemm(t[static_cast<std::size_t>(b)], r);
-      ag::CxTensor block = {ag::matmul(p[static_cast<std::size_t>(b)], tr.re),
-                            ag::matmul(p[static_cast<std::size_t>(b)], tr.im)};
-      ag::CxTensor mixed =
-          ag::cadd(ag::cscale(eye, skip[static_cast<std::size_t>(b)]),
-                   ag::cscale(block, sel[static_cast<std::size_t>(b)]));
+      const std::size_t bi = static_cast<std::size_t>(b);
+      // R(phi) = diag(exp(-i phi)) as a dense [K,K] pair.
+      ag::Tensor phi_k = ag::reshape(phi[bi], {k});
+      ag::CxTensor r = {ag::diag(ag::cos(phi_k)), ag::diag(ag::neg(ag::sin(phi_k)))};
+      ag::CxTensor tr = cmatmul_4gemm(t[bi], r);
+      ag::CxTensor block = {ag::matmul(p[bi], tr.re), ag::matmul(p[bi], tr.im)};
+      // skip * I + select * block.
+      ag::CxTensor mixed = {
+          ag::add(ag::mul(eye.re, skip[bi]), ag::mul(block.re, sel[bi])),
+          ag::add(ag::mul(eye.im, skip[bi]), ag::mul(block.im, sel[bi]))};
       acc = cmatmul_4gemm(mixed, acc);
     }
     head(acc).backward();
@@ -381,13 +383,10 @@ adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
   auto run_fused = [&] {
     ag::CxTensor acc = ag::CxTensor::eye(k);
     for (int b = 0; b < blocks; ++b) {
-      ag::CxTensor block =
-          ag::block_transfer(p[static_cast<std::size_t>(b)],
-                             t[static_cast<std::size_t>(b)],
-                             phi[static_cast<std::size_t>(b)]);
-      ag::CxTensor mixed = ag::cmix_identity(skip[static_cast<std::size_t>(b)],
-                                             sel[static_cast<std::size_t>(b)], block);
-      acc = ag::cmatmul(mixed, acc);
+      const std::size_t bi = static_cast<std::size_t>(b);
+      ag::CxTensor block = ag::bblock_transfer(p[bi], t[bi], phi[bi]);
+      ag::CxTensor mixed = ag::bcmix_identity(skip[bi], sel[bi], block);
+      acc = ag::bcmatmul(mixed, acc);
     }
     head(acc).backward();
     zero_all();
@@ -403,8 +402,8 @@ adept::bench::JsonRecord cchain_record(std::int64_t k, int blocks) {
 
 adept::bench::JsonRecord cgemm_batched_record() {
   // Mesh-shaped stack: 16 tiles of [16,16] advancing one block of a shared
-  // chain. Baseline is one cgemm dispatch per tile (the per-tile
-  // weight_expr pattern); backend is a single cgemm_batched over the stack.
+  // chain. Baseline is one cgemm dispatch per tile; backend is a single
+  // cgemm_batched over the stack.
   const std::int64_t tiles = 16, k = 16;
   adept::Rng rng(9);
   const std::size_t kk = static_cast<std::size_t>(k * k);
@@ -428,26 +427,6 @@ adept::bench::JsonRecord cgemm_batched_record() {
   });
   return make_record("cgemm_f32_batched", static_cast<double>(tiles), flops,
                      t_naive, t);
-}
-
-// Multi-tile weight build: forward tape construction of a 64x64 ONN weight
-// on a K=16 butterfly topology (16 tiles sharing the topology). Baseline is
-// the per-tile path (one [K,K] chain per tile); backend is the batched path
-// (one [T,K,K] node per chain stage). `*_gflops` fields report weight
-// builds per second.
-adept::bench::JsonRecord weight_expr_record() {
-  adept::Rng rng(10);
-  auto topo = std::make_shared<ph::PtcTopology>(ph::butterfly(16));
-  nn::PtcWeight w(64, 64, nn::PtcBinding::fixed(topo), rng);
-  double t_naive;
-  {
-    be::ThreadScope one(1);
-    t_naive = adept::bench::time_best(
-        [&] { benchmark::DoNotOptimize(w.weight_expr_per_tile().data().data()); });
-  }
-  const auto t = time_backend(
-      [&] { benchmark::DoNotOptimize(w.weight_expr().data().data()); });
-  return make_record("weight_expr", 16, 1.0, t_naive, t);
 }
 
 adept::bench::JsonRecord map_record(std::size_t n) {
@@ -678,7 +657,6 @@ int run_json_report(const std::string& path) {
   for (std::int64_t n : {16, 32, 64}) report.add(cgemm_record(n));
   report.add(cgemm_batched_record());
   report.add(cchain_record(32, 4));
-  report.add(weight_expr_record());
   report.add(map_record(1u << 20));
   report.add(im2col_record());
   add_simd_level_records(report);

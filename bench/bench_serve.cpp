@@ -18,10 +18,10 @@
 //   accuracy                top-1 on a held-out synthetic eval set, fp32 vs
 //                           int8, after a short training run so top-1 is
 //                           meaningful (quant_top1_delta = fp32 - int8).
-//   steady-state serving    QPS, micro-batch fill rate, and p50/p99 request
-//                           latency at 1/4/8 worker threads for a fixed
-//                           request pile; one extra record serves the
-//                           quantized plan at 4 threads.
+//   quantized serving       QPS, micro-batch fill rate, and p50/p99 request
+//                           latency of the int8 plan at 4 worker threads
+//                           for a fixed request pile. Open-loop serving
+//                           throughput is perfbench's (perfbench/).
 //   overload                4 producers flood a small-queue 2-worker server
 //                           (offered load far beyond capacity, 250 ms
 //                           deadlines) once per overload policy. Records
@@ -352,15 +352,6 @@ int main(int argc, char** argv) {
                  {"top1_int8", top1_int8},
                  {"quant_top1_delta", top1_delta},
                  {"eval_n", static_cast<double>(eval_set.size())}}});
-    for (int threads : {1, 4, 8}) {
-      const ServeResult r = measure_serving(cm, threads, requests);
-      report.add({"serve_t" + std::to_string(threads),
-                  {{"qps", r.qps},
-                   {"fill", r.fill},
-                   {"p50_us", r.p50_us},
-                   {"p99_us", r.p99_us},
-                   {"requests", static_cast<double>(requests)}}});
-    }
     {
       const ServeResult r = measure_serving(cmq, 4, requests);
       report.add({"serve_quant_t4",
@@ -406,12 +397,6 @@ int main(int argc, char** argv) {
               eval_set.size(), top1_fp32, top1_int8, top1_delta);
 
   adept::Table table({"workers", "QPS", "fill", "p50 [us]", "p99 [us]"});
-  for (int threads : {1, 4, 8}) {
-    const ServeResult r = measure_serving(cm, threads, requests);
-    table.add_row({std::to_string(threads), adept::Table::fmt(r.qps, 0),
-                   adept::Table::fmt(r.fill, 2), adept::Table::fmt(r.p50_us, 0),
-                   adept::Table::fmt(r.p99_us, 0)});
-  }
   const ServeResult rq = measure_serving(cmq, 4, requests);
   table.add_row({"4 (int8)", adept::Table::fmt(rq.qps, 0),
                  adept::Table::fmt(rq.fill, 2), adept::Table::fmt(rq.p50_us, 0),

@@ -9,14 +9,6 @@ namespace adept::ag {
 
 namespace be = ::adept::backend;
 
-CxTensor CxTensor::from_real(const Tensor& r) {
-  return {r, Tensor::zeros(r.shape())};
-}
-
-CxTensor CxTensor::zeros(std::vector<std::int64_t> shape) {
-  return {Tensor::zeros(shape), Tensor::zeros(shape)};
-}
-
 CxTensor CxTensor::eye(std::int64_t n) {
   return {Tensor::eye(n), Tensor::zeros({n, n})};
 }
@@ -48,8 +40,8 @@ Tensor plane_view(const Tensor& packed, std::vector<float> plane,
       });
 }
 
-// cos/sin of a phase vector, shared between forward and the 2-node
-// backwards of the column-phase ops.
+// cos/sin of a phase stack, shared between forward and backward of the
+// column-phase ops.
 struct PhaseTables {
   std::vector<float> c, s;
 };
@@ -60,391 +52,13 @@ std::shared_ptr<PhaseTables> phase_tables(const Tensor& phi) {
   t->c.resize(pd.size());
   t->s.resize(pd.size());
   // Dispatched: SIMD levels vectorize the sincos pair (backend/simd.h); the
-  // scalar level is the libm loop this code always ran. Every consumer of a
-  // phase column shares these tables, so fused and batched paths stay
-  // bit-identical to each other at any level.
+  // scalar level is the libm loop this code always ran.
   be::sincos(static_cast<std::int64_t>(pd.size()), pd.data(), t->c.data(),
              t->s.data());
   return t;
 }
 
 }  // namespace
-
-CxTensor cmul(const CxTensor& a, const CxTensor& b) {
-  if (a.re.shape() != b.re.shape()) {
-    // Broadcast shapes keep the real-op composition (ops.h broadcast rules).
-    Tensor re = sub(mul(a.re, b.re), mul(a.im, b.im));
-    Tensor im = add(mul(a.re, b.im), mul(a.im, b.re));
-    return {re, im};
-  }
-  const std::size_t n = a.re.data().size();
-  std::vector<float> outr(n), outi(n);
-  be::cmul_planar(n, a.re.data().data(), a.im.data().data(),
-                  b.re.data().data(), b.im.data().data(), outr.data(),
-                  outi.data());
-  Tensor re = make_op(
-      std::move(outr), a.re.shape(), {a.re, a.im, b.re, b.im},
-      [ar = a.re, ai = a.im, br = b.re, bi = b.im](TensorImpl& o) {
-        const float* g = o.grad.data();
-        const std::int64_t n = static_cast<std::int64_t>(o.grad.size());
-        // out_re = ar*br - ai*bi
-        if (ar.requires_grad()) {
-          float* d = const_cast<Tensor&>(ar).grad().data();
-          const float* x = br.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-        if (ai.requires_grad()) {
-          float* d = const_cast<Tensor&>(ai).grad().data();
-          const float* x = bi.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] -= g[i] * x[i]; });
-        }
-        if (br.requires_grad()) {
-          float* d = const_cast<Tensor&>(br).grad().data();
-          const float* x = ar.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-        if (bi.requires_grad()) {
-          float* d = const_cast<Tensor&>(bi).grad().data();
-          const float* x = ai.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] -= g[i] * x[i]; });
-        }
-      });
-  Tensor im = make_op(
-      std::move(outi), a.re.shape(), {a.re, a.im, b.re, b.im},
-      [ar = a.re, ai = a.im, br = b.re, bi = b.im](TensorImpl& o) {
-        const float* g = o.grad.data();
-        const std::int64_t n = static_cast<std::int64_t>(o.grad.size());
-        // out_im = ar*bi + ai*br
-        if (ar.requires_grad()) {
-          float* d = const_cast<Tensor&>(ar).grad().data();
-          const float* x = bi.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-        if (ai.requires_grad()) {
-          float* d = const_cast<Tensor&>(ai).grad().data();
-          const float* x = br.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-        if (br.requires_grad()) {
-          float* d = const_cast<Tensor&>(br).grad().data();
-          const float* x = ai.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-        if (bi.requires_grad()) {
-          float* d = const_cast<Tensor&>(bi).grad().data();
-          const float* x = ar.data().data();
-          be::for_each_index(n, [=](std::int64_t i) { d[i] += g[i] * x[i]; });
-        }
-      });
-  return {re, im};
-}
-
-CxTensor cadd(const CxTensor& a, const CxTensor& b) {
-  return {add(a.re, b.re), add(a.im, b.im)};
-}
-
-CxTensor csub(const CxTensor& a, const CxTensor& b) {
-  return {sub(a.re, b.re), sub(a.im, b.im)};
-}
-
-CxTensor cmatmul(const CxTensor& a, const CxTensor& b) {
-  check(a.re.ndim() == 2 && b.re.ndim() == 2, "cmatmul: expects 2-D tensors");
-  const std::int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-  check(b.dim(0) == k, "cmatmul: inner dims mismatch");
-  const std::size_t nm = static_cast<std::size_t>(n * m);
-  if (!tracking({&a.re, &a.im, &b.re, &b.im})) {
-    std::vector<float> re(nm), im(nm);
-    be::cgemm(be::CTrans::N, be::CTrans::N, n, m, k, a.re.data().data(),
-              a.im.data().data(), k, b.re.data().data(), b.im.data().data(), m,
-              0.0f, re.data(), im.data(), m);
-    return {make_tensor(std::move(re), {n, m}, false),
-            make_tensor(std::move(im), {n, m}, false)};
-  }
-  std::vector<float> re(nm), im(nm);
-  be::cgemm(be::CTrans::N, be::CTrans::N, n, m, k, a.re.data().data(),
-            a.im.data().data(), k, b.re.data().data(), b.im.data().data(), m,
-            0.0f, re.data(), im.data(), m);
-  // Single compute node: backward reads both plane grads at once and runs
-  // the two conjugate-transpose cgemms dA = G B^H, dB = A^H G. Its data
-  // buffer only exists to size the packed grad the plane views route into —
-  // the product itself lives in the views, no extra copies.
-  Tensor node = make_op(
-      std::vector<float>(2 * nm, 0.0f), {2, n, m}, {a.re, a.im, b.re, b.im},
-      [ar = a.re, ai = a.im, br = b.re, bi = b.im, n, k, m, nm](TensorImpl& o) {
-        const float* gre = o.grad.data();
-        const float* gim = o.grad.data() + nm;
-        if (ar.requires_grad() || ai.requires_grad()) {
-          auto& gar = const_cast<Tensor&>(ar).grad();
-          auto& gai = const_cast<Tensor&>(ai).grad();
-          be::cgemm(be::CTrans::N, be::CTrans::H, n, k, m, gre, gim, m,
-                    br.data().data(), bi.data().data(), m, 1.0f, gar.data(),
-                    gai.data(), k);
-        }
-        if (br.requires_grad() || bi.requires_grad()) {
-          auto& gbr = const_cast<Tensor&>(br).grad();
-          auto& gbi = const_cast<Tensor&>(bi).grad();
-          be::cgemm(be::CTrans::H, be::CTrans::N, k, m, n, ar.data().data(),
-                    ai.data().data(), k, gre, gim, m, 1.0f, gbr.data(),
-                    gbi.data(), m);
-        }
-      });
-  return {plane_view(node, std::move(re), {n, m}, 0),
-          plane_view(node, std::move(im), {n, m}, nm)};
-}
-
-CxTensor cscale(const CxTensor& a, const Tensor& s) {
-  return {mul(a.re, s), mul(a.im, s)};
-}
-
-CxTensor cscale(const CxTensor& a, float s) {
-  return {mul_scalar(a.re, s), mul_scalar(a.im, s)};
-}
-
-CxTensor conj(const CxTensor& a) { return {a.re, neg(a.im)}; }
-
-CxTensor adjoint(const CxTensor& a) {
-  return {transpose(a.re), neg(transpose(a.im))};
-}
-
-Tensor cabs2(const CxTensor& a) { return add(square(a.re), square(a.im)); }
-
-CxTensor cexp_neg_i(const Tensor& phi) { return {cos(phi), neg(sin(phi))}; }
-
-CxTensor phase_column(const Tensor& phi) {
-  CxTensor e = cexp_neg_i(phi);
-  return {diag(e.re), diag(e.im)};
-}
-
-CxTensor colphase_scale(const CxTensor& a, const Tensor& phi) {
-  check(a.re.ndim() == 2, "colphase_scale: expects 2-D");
-  const std::int64_t n = a.dim(0), m = a.dim(1);
-  check(phi.numel() == m, "colphase_scale: need one phase per column");
-  auto tab = phase_tables(phi);
-  const std::size_t nm = static_cast<std::size_t>(n * m);
-  std::vector<float> outr(nm), outi(nm);
-  {
-    const float* arp = a.re.data().data();
-    const float* aip = a.im.data().data();
-    const float* c = tab->c.data();
-    const float* s = tab->s.data();
-    float* orp = outr.data();
-    float* oip = outi.data();
-    be::for_each_index(n, [=](std::int64_t i) {
-      for (std::int64_t j = 0; j < m; ++j) {
-        const float re = arp[i * m + j], im = aip[i * m + j];
-        orp[i * m + j] = re * c[j] + im * s[j];
-        oip[i * m + j] = im * c[j] - re * s[j];
-      }
-    });
-  }
-  // dphi accumulates per column: column j owns its slot, so j is the
-  // parallel dimension in both backwards.
-  Tensor re = make_op(
-      std::move(outr), a.re.shape(), {a.re, a.im, phi},
-      [ar = a.re, ai = a.im, phi, tab, n, m](TensorImpl& o) {
-        const float* g = o.grad.data();
-        const float* c = tab->c.data();
-        const float* s = tab->s.data();
-        if (ar.requires_grad()) {
-          float* d = const_cast<Tensor&>(ar).grad().data();
-          be::for_each_index(n * m, [=](std::int64_t i) { d[i] += g[i] * c[i % m]; });
-        }
-        if (ai.requires_grad()) {
-          float* d = const_cast<Tensor&>(ai).grad().data();
-          be::for_each_index(n * m, [=](std::int64_t i) { d[i] += g[i] * s[i % m]; });
-        }
-        if (phi.requires_grad()) {
-          float* d = const_cast<Tensor&>(phi).grad().data();
-          const float* arp = ar.data().data();
-          const float* aip = ai.data().data();
-          be::for_each_index(
-              m,
-              [=](std::int64_t j) {
-                double acc = 0.0;
-                for (std::int64_t i = 0; i < n; ++i) {
-                  acc += static_cast<double>(g[i * m + j]) *
-                         (aip[i * m + j] * c[j] - arp[i * m + j] * s[j]);
-                }
-                d[j] += static_cast<float>(acc);
-              },
-              be::detail::grain_for(n));
-        }
-      });
-  Tensor im = make_op(
-      std::move(outi), a.re.shape(), {a.re, a.im, phi},
-      [ar = a.re, ai = a.im, phi, tab, n, m](TensorImpl& o) {
-        const float* g = o.grad.data();
-        const float* c = tab->c.data();
-        const float* s = tab->s.data();
-        if (ai.requires_grad()) {
-          float* d = const_cast<Tensor&>(ai).grad().data();
-          be::for_each_index(n * m, [=](std::int64_t i) { d[i] += g[i] * c[i % m]; });
-        }
-        if (ar.requires_grad()) {
-          float* d = const_cast<Tensor&>(ar).grad().data();
-          be::for_each_index(n * m, [=](std::int64_t i) { d[i] -= g[i] * s[i % m]; });
-        }
-        if (phi.requires_grad()) {
-          float* d = const_cast<Tensor&>(phi).grad().data();
-          const float* arp = ar.data().data();
-          const float* aip = ai.data().data();
-          be::for_each_index(
-              m,
-              [=](std::int64_t j) {
-                double acc = 0.0;
-                for (std::int64_t i = 0; i < n; ++i) {
-                  acc -= static_cast<double>(g[i * m + j]) *
-                         (aip[i * m + j] * s[j] + arp[i * m + j] * c[j]);
-                }
-                d[j] += static_cast<float>(acc);
-              },
-              be::detail::grain_for(n));
-        }
-      });
-  return {re, im};
-}
-
-CxTensor block_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) {
-  check(p.ndim() == 2 && p.dim(0) == p.dim(1), "block_transfer: P must be square");
-  const std::int64_t k = p.dim(0);
-  check(t.re.ndim() == 2 && t.dim(0) == k && t.dim(1) == k,
-        "block_transfer: T must be [K,K]");
-  check(phi.numel() == k, "block_transfer: need K phases");
-  auto tab = phase_tables(phi);
-  const std::size_t kk = static_cast<std::size_t>(k * k);
-  if (!tracking({&p, &t.re, &t.im, &phi})) {
-    std::vector<float> re(kk), im(kk);
-    be::rcgemm(be::Trans::N, k, k, k, p.data().data(), k, t.re.data().data(),
-               t.im.data().data(), k, 0.0f, re.data(), im.data(), k,
-               tab->c.data(), tab->s.data());
-    return {make_tensor(std::move(re), {k, k}, false),
-            make_tensor(std::move(im), {k, k}, false)};
-  }
-  std::vector<float> packed(2 * kk);
-  be::rcgemm(be::Trans::N, k, k, k, p.data().data(), k, t.re.data().data(),
-             t.im.data().data(), k, 0.0f, packed.data(), packed.data() + kk, k,
-             tab->c.data(), tab->s.data());
-  Tensor node = make_op(
-      std::move(packed), {2, k, k}, {p, t.re, t.im, phi},
-      [p, tr = t.re, ti = t.im, phi, tab, k, kk](TensorImpl& o) {
-        const float* gre = o.grad.data();
-        const float* gim = o.grad.data() + kk;
-        const float* c = tab->c.data();
-        const float* s = tab->s.data();
-        if (phi.requires_grad()) {
-          // out = PT * e^{-i phi_j} columnwise => d out / d phi_j = -i out,
-          // so dphi_j = sum_i (G_re * out_im - G_im * out_re) over column j.
-          const float* ore = o.data.data();
-          const float* oim = o.data.data() + kk;
-          float* d = const_cast<Tensor&>(phi).grad().data();
-          be::for_each_index(
-              k,
-              [=](std::int64_t j) {
-                double acc = 0.0;
-                for (std::int64_t i = 0; i < k; ++i) {
-                  acc += static_cast<double>(gre[i * k + j]) * oim[i * k + j] -
-                         static_cast<double>(gim[i * k + j]) * ore[i * k + j];
-                }
-                d[j] += static_cast<float>(acc);
-              },
-              be::detail::grain_for(k));
-        }
-        if (!p.requires_grad() && !tr.requires_grad() && !ti.requires_grad()) {
-          return;
-        }
-        // Chain through the column phase: G_PT = G * e^{+i phi_j}.
-        std::vector<float> gpt(2 * kk);
-        {
-          float* gptr = gpt.data();
-          float* gpti = gpt.data() + kk;
-          be::for_each_index(static_cast<std::int64_t>(kk), [=](std::int64_t i) {
-            const std::int64_t j = i % k;
-            gptr[i] = gre[i] * c[j] - gim[i] * s[j];
-            gpti[i] = gim[i] * c[j] + gre[i] * s[j];
-          });
-        }
-        if (p.requires_grad()) {
-          auto& gp = const_cast<Tensor&>(p).grad();
-          be::gemm(be::Trans::N, be::Trans::T, k, k, k, 1.0f, gpt.data(), k,
-                   tr.data().data(), k, 1.0f, gp.data(), k);
-          be::gemm(be::Trans::N, be::Trans::T, k, k, k, 1.0f, gpt.data() + kk,
-                   k, ti.data().data(), k, 1.0f, gp.data(), k);
-        }
-        if (tr.requires_grad() || ti.requires_grad()) {
-          auto& gtr = const_cast<Tensor&>(tr).grad();
-          auto& gti = const_cast<Tensor&>(ti).grad();
-          be::rcgemm(be::Trans::T, k, k, k, p.data().data(), k, gpt.data(),
-                     gpt.data() + kk, k, 1.0f, gtr.data(), gti.data(), k);
-        }
-      });
-  const auto& nd = node.data();
-  return {plane_view(node, {nd.begin(), nd.begin() + static_cast<std::ptrdiff_t>(kk)}, {k, k}, 0),
-          plane_view(node, {nd.begin() + static_cast<std::ptrdiff_t>(kk), nd.end()}, {k, k}, kk)};
-}
-
-CxTensor cmix_identity(const Tensor& skip, const Tensor& select,
-                       const CxTensor& block) {
-  check(skip.numel() == 1 && select.numel() == 1,
-        "cmix_identity: skip/select must be scalars");
-  check(block.re.ndim() == 2 && block.dim(0) == block.dim(1),
-        "cmix_identity: block must be square");
-  const std::int64_t k = block.dim(0);
-  const float sk = skip.data()[0];
-  const float se = select.data()[0];
-  const std::size_t kk = static_cast<std::size_t>(k * k);
-  std::vector<float> outr(kk), outi(kk);
-  {
-    const float* brp = block.re.data().data();
-    const float* bip = block.im.data().data();
-    float* orp = outr.data();
-    float* oip = outi.data();
-    be::for_each_index(static_cast<std::int64_t>(kk), [=](std::int64_t i) {
-      orp[i] = se * brp[i];
-      oip[i] = se * bip[i];
-    });
-    for (std::int64_t i = 0; i < k; ++i) orp[i * k + i] += sk;
-  }
-  Tensor re = make_op(
-      std::move(outr), block.re.shape(), {skip, select, block.re},
-      [skip, select, br = block.re, k](TensorImpl& o) {
-        const float* g = o.grad.data();
-        if (skip.requires_grad()) {
-          double acc = 0.0;
-          for (std::int64_t i = 0; i < k; ++i) acc += g[i * k + i];
-          const_cast<Tensor&>(skip).grad()[0] += static_cast<float>(acc);
-        }
-        if (select.requires_grad()) {
-          const auto& bd = br.data();
-          double acc = 0.0;
-          for (std::size_t i = 0; i < o.grad.size(); ++i) acc += static_cast<double>(g[i]) * bd[i];
-          const_cast<Tensor&>(select).grad()[0] += static_cast<float>(acc);
-        }
-        if (br.requires_grad()) {
-          const float se = select.data()[0];
-          float* d = const_cast<Tensor&>(br).grad().data();
-          be::for_each_index(static_cast<std::int64_t>(o.grad.size()),
-                             [=](std::int64_t i) { d[i] += se * g[i]; });
-        }
-      });
-  Tensor im = make_op(
-      std::move(outi), block.re.shape(), {select, block.im},
-      [select, bi = block.im](TensorImpl& o) {
-        const float* g = o.grad.data();
-        if (select.requires_grad()) {
-          const auto& bd = bi.data();
-          double acc = 0.0;
-          for (std::size_t i = 0; i < o.grad.size(); ++i) acc += static_cast<double>(g[i]) * bd[i];
-          const_cast<Tensor&>(select).grad()[0] += static_cast<float>(acc);
-        }
-        if (bi.requires_grad()) {
-          const float se = select.data()[0];
-          float* d = const_cast<Tensor&>(bi).grad().data();
-          be::for_each_index(static_cast<std::int64_t>(o.grad.size()),
-                             [=](std::int64_t i) { d[i] += se * g[i]; });
-        }
-      });
-  return {re, im};
-}
 
 CxTensor coupler_column(const Tensor& t, std::int64_t k, std::int64_t start) {
   check(t.ndim() == 1, "coupler_column: t must be 1-D");
@@ -497,28 +111,10 @@ CxTensor coupler_column(const Tensor& t, std::int64_t k, std::int64_t start) {
   return {re_t, im_t};
 }
 
-CxTensor row_normalize(const CxTensor& a, float eps) {
-  Tensor norm2 = add(row_sum(square(a.re)), row_sum(square(a.im)));
-  Tensor inv = reciprocal(sqrt(add_scalar(norm2, eps)));
-  return {mul(a.re, inv), mul(a.im, inv)};
-}
-
-CxTensor col_normalize(const CxTensor& a, float eps) {
-  Tensor norm2 = add(col_sum(square(a.re)), col_sum(square(a.im)));
-  Tensor inv = reciprocal(sqrt(add_scalar(norm2, eps)));
-  return {mul(a.re, inv), mul(a.im, inv)};
-}
-
 // ---- batched ([T,K,K]) chain ops ------------------------------------------
 //
-// Bit-exactness contract: each batched op performs, per output element and
-// per gradient slot, the identical sequence of float operations as the
-// per-tile composition it replaces. Gradients into operands shared across
-// tiles accumulate per tile in REVERSE tile order — the order the per-tile
-// tape fires its nodes in (block_matrix lists tiles ascending, so reverse
-// post-order processes them descending) — and within one tile the IM-plane
-// node fires before the RE-plane node (plane views are pushed re-first onto
-// parent lists, so post-order reversal flips them).
+// Shared-operand gradients accumulate per tile in reverse tile order and,
+// within a tile, IM-plane terms before RE-plane terms (see complex.h).
 
 CxTensor bcmatmul(const CxTensor& a, const CxTensor& b) {
   check(a.re.ndim() == 3, "bcmatmul: a must be [T,N,P]");
@@ -632,7 +228,7 @@ CxTensor bcolphase_scale(const CxTensor& a, const Tensor& phi) {
           const float* gi_t = gim + ti * nm;
           const float* ct = c + ti * m;
           const float* st = s + ti * m;
-          // IM-plane contributions first (per-tile node firing order).
+          // IM-plane contributions first.
           if (dai != nullptr) {
             be::for_each_index(nm, [=](std::int64_t i) {
               dai[i] += gi_t[i] * ct[i % m];
@@ -697,8 +293,7 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
   const std::int64_t kk = k * k;
   const std::size_t tkk = static_cast<std::size_t>(nt * kk);
   // The passive product P~ @ T is shared by every tile: ONE gemm, then each
-  // tile applies its own phase column — the same epilogue arithmetic the
-  // fused per-tile rcgemm runs, so values match it bit for bit.
+  // tile applies its own phase column (the rcgemm epilogue arithmetic).
   auto pt = std::make_shared<std::vector<float>>(static_cast<std::size_t>(2 * kk));
   be::rcgemm(be::Trans::N, k, k, k, p.data().data(), k, t.re.data().data(),
              t.im.data().data(), k, 0.0f, pt->data(), pt->data() + kk, k);
@@ -745,8 +340,7 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
                           ? const_cast<Tensor&>(phi).grad().data()
                           : nullptr;
         std::vector<float> gpt(pt_grad ? static_cast<std::size_t>(2 * kk) : 0);
-        // Reverse tile order: dP/dT accumulate through the same kernel calls,
-        // in the same order, as the per-tile block_transfer backwards.
+        // Reverse tile order: dP/dT accumulate one tile's gemms at a time.
         for (std::int64_t t2 = nt - 1; t2 >= 0; --t2) {
           const float* gr_t = gre + t2 * kk;
           const float* gi_t = gim + t2 * kk;
@@ -754,8 +348,8 @@ CxTensor bblock_transfer(const Tensor& p, const CxTensor& t, const Tensor& phi) 
           const float* st = s + t2 * k;
           if (dphi != nullptr) {
             // dphi_j = sum_i (G_re * out_im - G_im * out_re); the output is
-            // recomputed from the shared P~T product — same floats as the
-            // per-tile node's stored forward.
+            // recomputed from the shared P~T product — the same floats as
+            // the forward.
             be::for_each_index(
                 k,
                 [=](std::int64_t j) {
@@ -858,7 +452,7 @@ CxTensor bcmix_identity(const Tensor& skip, const Tensor& select,
         const float* brd = br.data().data();
         const float* bid = bi.data().data();
         // Reverse tile order; within a tile the IM-plane select term lands
-        // first, then the RE-plane skip/select terms (per-tile node order).
+        // first, then the RE-plane skip/select terms.
         for (std::int64_t t2 = nt - 1; t2 >= 0; --t2) {
           if (seg) {
             double acc = 0.0;
@@ -895,11 +489,13 @@ CxTensor brow_normalize(const CxTensor& a, float eps) {
   check(a.re.ndim() == 3, "brow_normalize: expects [T,K,K]");
   const std::int64_t t = a.dim(0), n = a.dim(1), m = a.dim(2);
   // Row norms don't cross tile boundaries, so the stacked rows normalize as
-  // one [T*K, K] matrix through the 2-D path (reshape is a pure pass-through
-  // for both values and gradients).
-  CxTensor flat = {reshape(a.re, {t * n, m}), reshape(a.im, {t * n, m})};
-  CxTensor out = row_normalize(flat, eps);
-  return {reshape(out.re, {t, n, m}), reshape(out.im, {t, n, m})};
+  // one [T*K, K] matrix (reshape is a pure pass-through for both values and
+  // gradients).
+  Tensor re = reshape(a.re, {t * n, m});
+  Tensor im = reshape(a.im, {t * n, m});
+  Tensor norm2 = add(row_sum(square(re)), row_sum(square(im)));
+  Tensor inv = reciprocal(sqrt(add_scalar(norm2, eps)));
+  return {reshape(mul(re, inv), {t, n, m}), reshape(mul(im, inv), {t, n, m})};
 }
 
 CxTensor bcol_normalize(const CxTensor& a, float eps) {

@@ -169,7 +169,7 @@ void check(bool cond, const std::string& msg);
 namespace debug {
 // Monotonic count of op nodes constructed by make_op since process start.
 // Tests diff it across a call to assert how many tape nodes an operator
-// creates (e.g. fused cmatmul: 1 compute node + 2 plane views).
+// creates (e.g. fused bcmatmul: 1 compute node + 2 plane views).
 std::size_t op_nodes_created();
 }  // namespace debug
 

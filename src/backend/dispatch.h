@@ -75,9 +75,6 @@ struct KernelTable {
                  const float* bi, std::int64_t ldb, float beta, float* cr,
                  float* ci, std::int64_t ldc, const float* col_cos,
                  const float* col_sin);
-  void (*cmul_planar)(std::size_t n, const float* ar, const float* ai,
-                      const float* br, const float* bi, float* outr,
-                      float* outi);
   void (*sincos)(std::int64_t n, const float* x, float* c, float* s);
   void (*softmax_rows)(std::int64_t rows, std::int64_t cols, const float* a,
                        float* out);

@@ -642,22 +642,6 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
   }
 }
 
-void cmul_planar(std::size_t n, const float* ar, const float* ai,
-                 const float* br, const float* bi, float* outr, float* outi) {
-  if (const KernelTable* t = active_kernels()) {
-    t->cmul_planar(n, ar, ai, br, bi, outr, outi);
-    return;
-  }
-  parallel_for(static_cast<std::int64_t>(n), detail::kElemGrain,
-               [=](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   const float re = ar[i] * br[i] - ai[i] * bi[i];
-                   outi[i] = ar[i] * bi[i] + ai[i] * br[i];
-                   outr[i] = re;
-                 }
-               });
-}
-
 void sincos(std::int64_t n, const float* x, float* cos_out, float* sin_out) {
   if (const KernelTable* t = active_kernels()) {
     t->sincos(n, x, cos_out, sin_out);

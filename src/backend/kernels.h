@@ -157,10 +157,6 @@ void cgemm_batched(CTrans ta, CTrans tb, std::int64_t batch, std::int64_t m,
                    std::int64_t ldb, float beta, float* cr, float* ci,
                    std::int64_t stride_c, std::int64_t ldc);
 
-// Fused planar complex elementwise product: (or, oi) = (a * b) per element.
-void cmul_planar(std::size_t n, const float* ar, const float* ai,
-                 const float* br, const float* bi, float* outr, float* outi);
-
 // Simultaneous cos/sin of a phase vector — the exp(-i*phi) table feeding the
 // phase-column ops and the rcgemm epilogue. SIMD levels use a Cephes-style
 // polynomial (~1-2 ulp vs libm for |x| < 8192, libm fallback per lane

@@ -213,10 +213,14 @@ MatrixFitTask::MatrixFitTask(int tiles, std::uint64_t seed)
 void MatrixFitTask::bind(SuperMesh& mesh) {
   const std::int64_t k = mesh.k();
   const int nb = mesh.blocks_per_unitary();
+  const std::size_t row = static_cast<std::size_t>(k);
+  const std::size_t stack = static_cast<std::size_t>(tiles_) * row;
   targets_.clear();
-  phi_u_.clear();
-  phi_v_.clear();
-  sigma_.clear();
+  std::vector<std::vector<float>> pu(static_cast<std::size_t>(nb),
+                                     std::vector<float>(stack));
+  std::vector<std::vector<float>> pv = pu;
+  // Per tile, in this order: the target, then the U and V phases block by
+  // block (row t of each stack).
   for (int t = 0; t < tiles_; ++t) {
     std::vector<float> target(static_cast<std::size_t>(k * k));
     // Orthogonal-ish random targets keep the fit well-scaled.
@@ -224,23 +228,23 @@ void MatrixFitTask::bind(SuperMesh& mesh) {
       x = static_cast<float>(rng_.normal(0.0, 1.0 / std::sqrt(static_cast<double>(k))));
     }
     targets_.push_back(ag::make_tensor(std::move(target), {k, k}, false));
-    auto make_phases = [&]() {
-      std::vector<Tensor> phases;
-      for (int b = 0; b < nb; ++b) {
-        std::vector<float> phi(static_cast<std::size_t>(k));
-        for (auto& p : phi) {
-          p = static_cast<float>(
+    for (auto* stacks : {&pu, &pv}) {
+      for (auto& s : *stacks) {
+        for (std::size_t j = 0; j < row; ++j) {
+          s[static_cast<std::size_t>(t) * row + j] = static_cast<float>(
               rng_.uniform(-std::numbers::pi, std::numbers::pi));
         }
-        phases.push_back(ag::make_tensor(std::move(phi), {k}, true));
       }
-      return phases;
-    };
-    phi_u_.push_back(make_phases());
-    phi_v_.push_back(make_phases());
-    std::vector<float> sig(static_cast<std::size_t>(k), 1.0f);
-    sigma_.push_back(ag::make_tensor(std::move(sig), {k}, true));
+    }
   }
+  auto to_tensors = [&](std::vector<std::vector<float>>& stacks) {
+    std::vector<Tensor> out;
+    for (auto& s : stacks) out.push_back(ag::make_tensor(std::move(s), {tiles_, k}, true));
+    return out;
+  };
+  phi_u_ = to_tensors(pu);
+  phi_v_ = to_tensors(pv);
+  sigma_ = ag::make_tensor(std::vector<float>(stack, 1.0f), {tiles_, k}, true);
 }
 
 Tensor MatrixFitTask::loss(SuperMesh& mesh, bool validation) {
@@ -251,30 +255,32 @@ Tensor MatrixFitTask::loss_shard(SuperMesh& mesh, bool validation,
                                  std::int64_t lo, std::int64_t hi,
                                  std::int64_t items) {
   (void)validation;  // same targets for both splits in the synthetic proxy
+  const std::int64_t k = mesh.k(), n = hi - lo;
+  // Rows [lo, hi) of every stack run through one batched chain.
+  auto rows = [&](const std::vector<Tensor>& stacks) {
+    std::vector<Tensor> out;
+    for (const auto& s : stacks) out.push_back(ag::slice2d(s, lo, n, 0, k));
+    return out;
+  };
+  CxTensor u = mesh.tile_unitary(Side::u, rows(phi_u_));
+  CxTensor v = mesh.tile_unitary(Side::v, rows(phi_v_));
+  // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
+  CxTensor w = ag::bcmatmul(
+      ag::bcscale_cols(u, ag::slice2d(sigma_, lo, n, 0, k)), v);
+  const Tensor w_rows = ag::reshape(w.re, {n * k, k});
   Tensor total = Tensor::scalar(0.0f);
-  for (std::int64_t t = lo; t < hi; ++t) {
-    CxTensor u = mesh.tile_unitary(Side::u, phi_u_[static_cast<std::size_t>(t)]);
-    CxTensor v = mesh.tile_unitary(Side::v, phi_v_[static_cast<std::size_t>(t)]);
-    // U * diag(sigma) is a column scaling — no materialized diagonal/gemm.
-    const std::int64_t k = mesh.k();
-    CxTensor us = ag::cscale(
-        u, ag::reshape(sigma_[static_cast<std::size_t>(t)], {1, k}));
-    CxTensor w = ag::cmatmul(us, v);
-    Tensor err = ag::sub(w.re, targets_[static_cast<std::size_t>(t)]);
+  for (std::int64_t t = 0; t < n; ++t) {
+    Tensor err = ag::sub(ag::slice2d(w_rows, t * k, k, 0, k),
+                         targets_[static_cast<std::size_t>(lo + t)]);
     total = ag::add(total, ag::mean(ag::square(err)));
   }
   return ag::mul_scalar(total, 1.0f / static_cast<float>(items));
 }
 
 std::vector<Tensor> MatrixFitTask::weights() {
-  std::vector<Tensor> out;
-  for (auto& tile : phi_u_) {
-    for (auto& p : tile) out.push_back(p);
-  }
-  for (auto& tile : phi_v_) {
-    for (auto& p : tile) out.push_back(p);
-  }
-  for (auto& s : sigma_) out.push_back(s);
+  std::vector<Tensor> out = phi_u_;
+  out.insert(out.end(), phi_v_.begin(), phi_v_.end());
+  out.push_back(sigma_);
   return out;
 }
 

@@ -32,7 +32,8 @@ namespace adept::core {
 
 // A differentiable training task driving the search. Implementations own the
 // per-tile weights (phases Phi, diagonals Sigma, plus any classifier
-// parameters) and build their loss through SuperMesh::tile_unitary.
+// parameters) and build their loss through SuperMesh::tile_unitary, which
+// runs all tiles of a [T,K] phase stack through one batched chain.
 class ProxyTask {
  public:
   virtual ~ProxyTask() = default;
@@ -175,10 +176,9 @@ class MatrixFitTask : public ProxyTask {
  private:
   int tiles_;
   adept::Rng rng_;
-  std::vector<ag::Tensor> targets_;            // [K,K] constants per tile
-  std::vector<std::vector<ag::Tensor>> phi_u_; // [tile][block] -> [K]
-  std::vector<std::vector<ag::Tensor>> phi_v_;
-  std::vector<ag::Tensor> sigma_;              // [K] per tile
+  std::vector<ag::Tensor> targets_;       // [K,K] constants per tile
+  std::vector<ag::Tensor> phi_u_, phi_v_;  // [block] -> [T,K] phase stack
+  ag::Tensor sigma_;                       // [T,K]
 };
 
 }  // namespace adept::core

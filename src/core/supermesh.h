@@ -16,7 +16,7 @@
 //
 // Usage per training step:
 //   sm.begin_step(tau, rng, stochastic);     // sample + rebuild topology exprs
-//   ag::CxTensor u = sm.tile_unitary(Side::u, phases);  // per tile
+//   ag::CxTensor u = sm.tile_unitary(Side::u, phase_stacks);  // [T,K,K]
 //   loss = task + alm.penalty(sm.all_relaxed_perms()) + sm.footprint_penalty(cfg)
 #pragma once
 
@@ -72,17 +72,14 @@ class SuperMesh {
   // it the sample is the plain softmax of theta (evaluation).
   void begin_step(double tau, adept::Rng& rng, bool stochastic = true);
 
-  // Mixed-block unitary for one tile given per-block phases ([K] each,
-  // caller-owned). Builds on the expressions cached by begin_step.
-  ag::CxTensor tile_unitary(Side side, const std::vector<ag::Tensor>& phases) const;
-
-  // Stacked unitaries [T,K,K] for all T tiles of a layer at once:
-  // `phase_stacks[b]` is a [T,K] phase stack for block b (caller-owned).
-  // Every block advances ALL tiles through one batched tape node
-  // (bblock_transfer / bcmix_identity / bcmatmul) instead of T scalar
-  // chains; bit-exact against T tile_unitary calls, values and gradients.
-  ag::CxTensor tile_unitary_batched(
-      Side side, const std::vector<ag::Tensor>& phase_stacks) const;
+  // Stacked mixed-block unitaries [T,K,K] for T tiles at once:
+  // `phase_stacks[b]` is the [T,K] phase stack of block b (caller-owned; one
+  // tile passes [1,K]). Builds on the expressions cached by begin_step; every
+  // block advances all tiles through one batched tape node (bblock_transfer
+  // / bcmix_identity / bcmatmul), and tile t's result does not depend on the
+  // other rows of the stack.
+  ag::CxTensor tile_unitary(Side side,
+                            const std::vector<ag::Tensor>& phase_stacks) const;
 
   // All reparametrized permutations of the current step (U blocks then V),
   // for the ALM penalty.

@@ -171,6 +171,43 @@ TEST(Determinism, ThreadedMatchesSerialBitExactly) {
   }
 }
 
+// Row independence: an output row depends only on its own A row, never on
+// how many rows share the call. Every 3-row block of an M=24 gemm must equal
+// a separate M=3 call, with K on both sides of the kKC=256 panel depth, at
+// every dispatch level and thread count.
+TEST(Determinism, GemmRowsIndependentOfRowCount) {
+  const std::int64_t m = 24, rows = 3, n = 37;
+  for (std::int64_t k : {27, 256, 300, 600}) {
+    Rng rng(static_cast<std::uint64_t>(k));
+    const auto a = random_vec<float>(static_cast<std::size_t>(m * k), rng);
+    const auto b = random_vec<float>(static_cast<std::size_t>(k * n), rng);
+    for (be::SimdLevel level : be::available_simd_levels()) {
+      be::SimdScope simd(level);
+      for (int threads : {1, 4}) {
+        be::ThreadScope scope(threads);
+        for (Trans tb : {Trans::N, Trans::T}) {
+          const std::int64_t ldb = tb == Trans::N ? n : k;
+          std::vector<float> full(static_cast<std::size_t>(m * n));
+          be::gemm(Trans::N, tb, m, n, k, 1.0f, a.data(), k, b.data(), ldb,
+                   0.0f, full.data(), n);
+          for (std::int64_t r0 = 0; r0 < m; r0 += rows) {
+            std::vector<float> part(static_cast<std::size_t>(rows * n));
+            be::gemm(Trans::N, tb, rows, n, k, 1.0f, a.data() + r0 * k, k,
+                     b.data(), ldb, 0.0f, part.data(), n);
+            for (std::int64_t i = 0; i < rows * n; ++i) {
+              ASSERT_EQ(part[static_cast<std::size_t>(i)],
+                        full[static_cast<std::size_t>(r0 * n + i)])
+                  << be::simd_level_name(level) << " threads " << threads
+                  << " k " << k << " tb " << (tb == Trans::N ? "N" : "T")
+                  << " row block " << r0;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Determinism, ElementwiseAndReduceBitExact) {
   Rng rng(14);
   const std::size_t n = 100000;  // spans several elementwise/reduce chunks

@@ -422,29 +422,6 @@ TEST(SimdMath, LogSoftmaxRowsParityAcrossLevels) {
   }
 }
 
-TEST(SimdMath, CmulPlanarParityAcrossLevels) {
-  const std::size_t n = 517;  // vector tail
-  Rng rng(67);
-  const auto ar = random_vec(n, rng), ai = random_vec(n, rng);
-  const auto br = random_vec(n, rng), bi = random_vec(n, rng);
-  std::vector<float> rr(n), ri(n);
-  {
-    SimdScope scope(SimdLevel::scalar);
-    be::cmul_planar(n, ar.data(), ai.data(), br.data(), bi.data(), rr.data(),
-                    ri.data());
-  }
-  for (SimdLevel level : simd_levels()) {
-    SimdScope scope(level);
-    std::vector<float> gr(n), gi(n);
-    be::cmul_planar(n, ar.data(), ai.data(), br.data(), bi.data(), gr.data(),
-                    gi.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(gr[i], rr[i], 1e-6f) << be::simd_level_name(level);
-      ASSERT_NEAR(gi[i], ri[i], 1e-6f) << be::simd_level_name(level);
-    }
-  }
-}
-
 // ---- portable scalar vec8f (the branch this base-ISA TU instantiates) ------
 
 TEST(SimdScalarVec, LoadStorePartialAndArithmetic) {

@@ -20,22 +20,26 @@ core::SuperMeshConfig small_config(int k = 4, int blocks = 3, int always_on = 1)
   return config;
 }
 
-std::vector<Tensor> zero_phases(const core::SuperMesh& mesh) {
+// One [tiles,K] phase stack per block, all zeros.
+std::vector<Tensor> zero_phases(const core::SuperMesh& mesh, std::int64_t tiles = 1) {
   std::vector<Tensor> phases;
   for (int b = 0; b < mesh.blocks_per_unitary(); ++b) {
-    phases.push_back(Tensor::zeros({mesh.k()}, true));
+    phases.push_back(Tensor::zeros({tiles, mesh.k()}, true));
   }
   return phases;
 }
 
-ph::CMat to_cmat(const ag::CxTensor& t) {
-  ph::CMat m(t.dim(0), t.dim(1));
-  for (std::int64_t i = 0; i < t.dim(0); ++i) {
-    for (std::int64_t j = 0; j < t.dim(1); ++j) {
-      m.at(i, j) = ph::cplx(t.re.at(i, j), t.im.at(i, j));
+// Tile `tile` of a stacked [T,K,K] complex tensor.
+ph::CMat to_cmat(const ag::CxTensor& t, std::int64_t tile = 0) {
+  const std::int64_t n = t.dim(1), m = t.dim(2);
+  ph::CMat out(n, m);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < m; ++j) {
+      const std::size_t at = static_cast<std::size_t>((tile * n + i) * m + j);
+      out.at(i, j) = ph::cplx(t.re.data()[at], t.im.data()[at]);
     }
   }
-  return m;
+  return out;
 }
 
 TEST(SuperMesh, ParameterGroupSizes) {
@@ -84,10 +88,9 @@ TEST(SuperMesh, TileUnitaryShapeAndGrads) {
   Rng rng(6);
   core::SuperMesh mesh(small_config(4, 3, 1), rng);
   mesh.begin_step(1.0, rng);
-  auto phases = zero_phases(mesh);
+  auto phases = zero_phases(mesh, /*tiles=*/3);
   ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
-  EXPECT_EQ(u.dim(0), 4);
-  EXPECT_EQ(u.dim(1), 4);
+  EXPECT_EQ(u.shape(), (std::vector<std::int64_t>{3, 4, 4}));
   ag::Tensor loss = ag::add(ag::sum(ag::square(u.re)), ag::sum(ag::square(u.im)));
   loss.backward();
   // Gradients reach phases, theta, t, and P.
@@ -128,9 +131,17 @@ TEST(SuperMesh, UnitaryAfterLegalizationIsExactlyUnitary) {
   core::SuperMesh mesh(small_config(4, 3, 3), rng);  // all blocks always-on
   mesh.legalize_permutations(rng);
   mesh.begin_step(0.5, rng, /*stochastic=*/false);
-  auto phases = zero_phases(mesh);
+  // Two tiles: zero phases and random phases.
+  auto phases = zero_phases(mesh, /*tiles=*/2);
+  for (auto& p : phases) {
+    for (std::int64_t j = 0; j < mesh.k(); ++j) {
+      p.data()[static_cast<std::size_t>(mesh.k() + j)] =
+          static_cast<float>(rng.uniform(-3.14, 3.14));
+    }
+  }
   ag::CxTensor u = mesh.tile_unitary(core::Side::u, phases);
-  EXPECT_LT(to_cmat(u).unitarity_error(), 1e-5);
+  EXPECT_LT(to_cmat(u, 0).unitarity_error(), 1e-5);
+  EXPECT_LT(to_cmat(u, 1).unitarity_error(), 1e-5);
 }
 
 TEST(SuperMesh, ExpectedFootprintRespondsToTheta) {
